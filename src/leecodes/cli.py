@@ -494,15 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON run report")
+    # --json is also accepted after the subcommand.  SUPPRESS leaves the
+    # value set before the subcommand in place when it is not repeated.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit a JSON run report")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("sphere", help="Lee sphere and shell sizes")
+    p = sub.add_parser("sphere", parents=[common], help="Lee sphere and shell sizes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--list-shell", action="store_true")
     p.set_defaults(fn=_cmd_sphere)
 
-    p = sub.add_parser("pi", help="embedding invariants")
+    p = sub.add_parser("pi", parents=[common], help="embedding invariants")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--group", help="group name like Z_2xZ_8 (default: all of order k)")
@@ -513,11 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(fn=_cmd_pi)
 
-    p = sub.add_parser("embed2d", help="optimal planar embedding for an order")
+    p = sub.add_parser("embed2d", parents=[common],
+                       help="optimal planar embedding for an order")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(fn=_cmd_embed2d)
 
-    p = sub.add_parser("search-pl", help="radius-2 witness search / non-existence")
+    p = sub.add_parser("search-pl", parents=[common],
+                       help="radius-2 witness search / non-existence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="group order (default 2n^2+2n+1)")
     p.add_argument("--group", help="explicit group name, e.g. Z_5xZ_5")
@@ -529,30 +536,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suspend (with checkpoint) after this many nodes")
     p.set_defaults(fn=_cmd_search_pl)
 
-    p = sub.add_parser("search-qpl", help="search one order for an optimal embedding")
+    p = sub.add_parser("search-qpl", parents=[common],
+                       help="search one order for an optimal embedding")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--all-groups", action="store_true")
     p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(fn=_cmd_search_qpl)
 
-    p = sub.add_parser("verify", help="verify an embedding table CSV")
+    p = sub.add_parser("verify", parents=[common], help="verify an embedding table CSV")
     p.add_argument("--appendix", help="CSV path (default: bundled table)")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("decode", help="decode a word with a serialized code")
+    p = sub.add_parser("decode", parents=[common],
+                       help="decode a word with a serialized code")
     p.add_argument("--code", required=True, help="code JSON path")
-    p.add_argument("--word", required=True, help="comma-separated coordinates")
+    p.add_argument("--word", required=True,
+                   help="comma-separated coordinates; write a negative word "
+                        "as --word=-28,0,-35")
     p.set_defaults(fn=_cmd_decode)
 
-    p = sub.add_parser("bound", help="volume-based non-existence threshold")
+    p = sub.add_parser("bound", parents=[common],
+                       help="volume-based non-existence threshold")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", type=_parse_fraction,
                    help="packing efficiency as p/q (built in only for n=3)")
     p.add_argument("--rmax", type=int, default=10**4)
     p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("render", help="SVG grid of a planar homomorphism")
+    p = sub.add_parser("render", parents=[common],
+                       help="SVG grid of a planar homomorphism")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--images", type=_parse_images, required=True)
     p.add_argument("--extent", type=int, required=True)
@@ -560,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("conjecture-probe",
+    p = sub.add_parser("conjecture-probe", parents=[common],
                        help="compare cyclic vs non-cyclic attainment over a range")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmin", type=int, default=2)

@@ -10,7 +10,10 @@ gives the invariants ``pi_group`` and ``pi_number``.
 The per-element distances are computed by breadth-first search on the
 Cayley graph of G with generator multiset {+-phi(e_i)}: graph distance
 from zero equals the minimal Lee weight of a preimage, and BFS depth is
-bounded by |G| - 1, so termination needs no ad-hoc radius cutoff.
+bounded by |G| - 1, so termination needs no ad-hoc radius cutoff.  The
+search runs on the integer element indices of ``AbelianGroup.index``:
+each step +-phi(e_i) is one translation row, and weights and witness
+words are lists by index.  Tuple-keyed views are built only on request.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .groups import AbelianGroup, GroupElement, groups_of_order
 from .spheres import (
     Word,
@@ -80,29 +83,45 @@ def hom_apply(phi: Homomorphism, word: Sequence[int]) -> GroupElement:
 class DistanceProfile:
     """Minimal embedding weight and one minimal witness per group element.
 
-    ``dist[g]`` is the least Lee weight of a preimage of g (present only
-    for reachable g); ``witness[g]`` is a preimage of that weight.  Ties
-    are broken toward the lexicographically smallest word discovered by
-    the ordered BFS expansion, which pins every downstream fixture.
+    Indexed by ``group.index``: ``weights[i]`` is the least Lee weight of
+    a preimage of element i (None if unreached), ``words[i]`` a preimage
+    of that weight, and ``counts[d]`` the number of elements at weight d.
+    Ties are broken toward the lexicographically smallest word, which
+    pins every downstream fixture.  ``dist`` and ``witness`` are the same
+    data keyed by element tuples, built on first access.
     """
 
     group: AbelianGroup
-    dist: Dict[GroupElement, int]
-    witness: Dict[GroupElement, Word]
-    surjective: bool
+    weights: List[Optional[int]]
+    words: List[Optional[Word]]
+    counts: Tuple[int, ...]
+
+    @property
+    def surjective(self) -> bool:
+        return sum(self.counts) == self.group.order
+
+    @cached_property
+    def dist(self) -> Dict[GroupElement, int]:
+        element = self.group.element
+        return {element(i): d for i, d in enumerate(self.weights) if d is not None}
+
+    @cached_property
+    def witness(self) -> Dict[GroupElement, Word]:
+        element = self.group.element
+        return {element(i): w for i, w in enumerate(self.words) if w is not None}
 
     def multiplicities(self) -> Counter:
         """How many elements sit at each embedding weight."""
-        return Counter(self.dist.values())
+        return Counter(dict(enumerate(self.counts)))
 
     def covering_radius(self) -> int:
         """Largest embedding weight; defined only for surjective phi."""
         if not self.surjective:
             raise ValueError("covering radius undefined: not surjective")
-        return max(self.dist.values())
+        return len(self.counts) - 1
 
     def total(self) -> int:
-        return sum(self.dist.values())
+        return sum(d * c for d, c in enumerate(self.counts))
 
 
 @lru_cache(maxsize=256)
@@ -118,39 +137,42 @@ def distance_profile(phi: Homomorphism) -> DistanceProfile:
     The result is cached; treat returned profiles as immutable.
     """
     G = phi.group
-    n = phi.n
-    zero = G.zero()
-    origin: Word = (0,) * n
-    dist: Dict[GroupElement, int] = {zero: 0}
-    witness: Dict[GroupElement, Word] = {zero: origin}
-    steps: List[Tuple[int, int, GroupElement]] = []
+    k = G.order
+    steps: List[Tuple[int, int, List[int]]] = []
     for i, img in enumerate(phi.images):
-        steps.append((i, 1, img))
-        steps.append((i, -1, G.neg(img)))
+        steps.append((i, 1, G.translation(G.index(img))))
+        steps.append((i, -1, G.translation(G.index(G.neg(img)))))
 
-    order = G.order
-    add = G.add
-    frontier: List[GroupElement] = [zero]
+    weights: List[Optional[int]] = [None] * k
+    words: List[Optional[Word]] = [None] * k
+    weights[0] = 0
+    words[0] = (0,) * phi.n
+    counts = [1]
+    reached = 1
+    frontier = [0]
     d = 0
-    while frontier and len(dist) < order:
+    while reached < k:
         d += 1
-        candidates: Dict[GroupElement, Word] = {}
+        candidates: Dict[int, Word] = {}
         for h in frontier:
-            w = witness[h]
-            for i, s, delta in steps:
-                g2 = add(h, delta)
-                if g2 in dist:
+            w = words[h]
+            for i, s, row in steps:
+                g = row[h]
+                if weights[g] is not None:
                     continue
                 w2 = w[:i] + (w[i] + s,) + w[i + 1 :]
-                prev = candidates.get(g2)
+                prev = candidates.get(g)
                 if prev is None or w2 < prev:
-                    candidates[g2] = w2
-        frontier = []
-        for g2, w2 in candidates.items():
-            dist[g2] = d
-            witness[g2] = w2
-            frontier.append(g2)
-    return DistanceProfile(G, dist, witness, len(dist) == order)
+                    candidates[g] = w2
+        if not candidates:
+            break
+        for g, w2 in candidates.items():
+            weights[g] = d
+            words[g] = w2
+        frontier = list(candidates)
+        counts.append(len(frontier))
+        reached += len(frontier)
+    return DistanceProfile(G, weights, words, tuple(counts))
 
 
 def embedding_number(phi: Homomorphism):
@@ -202,14 +224,18 @@ def is_optimal(phi: Homomorphism) -> bool:
     n = phi.n
     k = phi.group.order
     r = radius_for(n, k)
-    mult = prof.multiplicities()
+    counts = prof.counts
     for d in range(r + 1):
-        if mult[d] != shell_size(n, d):
+        if d >= len(counts) or counts[d] != shell_size(n, d):
             return False
-    if max(prof.dist.values()) > r + 1:
+    if len(counts) - 1 > r + 1:
         return False
     # Optimality must coincide with meeting the lower bound exactly.
-    assert prof.total() == f_lower_bound(n, k)
+    if prof.total() != f_lower_bound(n, k):
+        raise InvariantError(
+            f"{phi} passes the shell test but its embedding number "
+            f"{prof.total()} differs from f({n}, {k}) = {f_lower_bound(n, k)}"
+        )
     return True
 
 
@@ -225,14 +251,17 @@ def excess_decomposition(phi: Homomorphism) -> Tuple[int, int]:
         raise ValueError("excess decomposition undefined: not surjective")
     n = phi.n
     r = radius_for(n, phi.group.order)
-    mult = prof.multiplicities()
+    counts = prof.counts
     near = 0
     for d in range(r + 1):
-        eps = shell_size(n, d) - mult[d]
+        eps = shell_size(n, d) - (counts[d] if d < len(counts) else 0)
         if eps < 0:
-            raise AssertionError("more elements at weight d than shell words")
+            raise InvariantError(
+                f"{phi} has {counts[d]} elements at weight {d}, more than "
+                f"the {shell_size(n, d)} words of that shell"
+            )
         near += (r + 1 - d) * eps
-    far = sum((d - r - 1) * c for d, c in mult.items() if d >= r + 2)
+    far = sum((d - r - 1) * c for d, c in enumerate(counts) if d >= r + 2)
     return near, far
 
 
@@ -313,14 +342,12 @@ def pi_number(n: int, k: int, budget: int = DEFAULT_HOM_BUDGET):
 
 
 def profile_to_json(prof: DistanceProfile) -> dict:
-    """JSON-ready view of a distance profile, sorted by element."""
+    """JSON-ready view of a distance profile, in element order."""
+    element = prof.group.element
     entries = [
-        {
-            "element": list(g),
-            "distance": prof.dist[g],
-            "witness": list(prof.witness[g]),
-        }
-        for g in sorted(prof.dist)
+        {"element": list(element(i)), "distance": d, "witness": list(w)}
+        for i, (d, w) in enumerate(zip(prof.weights, prof.words))
+        if d is not None
     ]
     return {
         "group": str(prof.group),

@@ -5,6 +5,12 @@ and d_i | d_{i+1}; the empty tuple is the trivial group.  Elements are
 plain tuples of residues, one per factor.  This canonical form makes
 isomorphism-class identity a tuple comparison and keeps residue vectors
 minimal.
+
+Hot kernels work on one integer encoding instead: ``index`` numbers the
+elements 0..|G|-1 by mixed radix, in the order of ``elements()``, and
+``translation(a)`` is the row b -> index(a + b), cut from slices of one
+shared ``list(range(|G|))`` so that no per-element arithmetic is done
+and every row holds the same int objects.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 GroupElement = Tuple[int, ...]
@@ -77,6 +84,51 @@ class AbelianGroup:
         """All elements, in lexicographic residue order."""
         return itertools.product(*(range(d) for d in self.factors))
 
+    def index(self, g: GroupElement) -> int:
+        """Mixed-radix position of g in ``elements()``."""
+        i = 0
+        for x, d in zip(g, self.factors):
+            i = i * d + x
+        return i
+
+    def element(self, i: int) -> GroupElement:
+        """The element at position i of ``elements()``; inverse of ``index``."""
+        coords = []
+        for d in reversed(self.factors):
+            i, x = divmod(i, d)
+            coords.append(x)
+        return tuple(reversed(coords))
+
+    @cached_property
+    def _indices(self) -> List[int]:
+        # Shared by every translation row, so rows reuse these int objects.
+        return list(range(self.order))
+
+    def translation(self, a: int) -> List[int]:
+        """The row b -> index(a + b) over all indices b.
+
+        Only the last factor's residue varies within a block of
+        consecutive indices, so each block is a rotation of a slice of
+        the shared index list: two slices per block, no per-element work.
+        """
+        pool = self._indices
+        if not self.factors:
+            return pool[:]
+        *head, c = self.element(a)
+        last = self.factors[-1]
+        # Block starts, in block order: index(head(a) + head(b)) * last.
+        starts = [0]
+        stride = self.order
+        for x, d in zip(head, self.factors):
+            stride //= d
+            rotated = [((x + y) % d) * stride for y in range(d)]
+            starts = [s + r for s in starts for r in rotated]
+        row: List[int] = []
+        for s in starts:
+            row += pool[s + c : s + last]
+            row += pool[s : s + c]
+        return row
+
     def __str__(self) -> str:
         if not self.factors:
             return "Z_1"
@@ -84,7 +136,12 @@ class AbelianGroup:
 
     @classmethod
     def from_name(cls, name: str) -> "AbelianGroup":
-        """Parse the canonical text form, e.g. ``Z_2xZ_8`` or ``Z_16``."""
+        """Parse the canonical text form, e.g. ``Z_2xZ_8`` or ``Z_16``.
+
+        A product whose factors are not a divisibility chain, such as
+        ``Z_2xZ_3``, is refused with the canonical name of its group
+        rather than rewritten.
+        """
         parts = name.split("x")
         factors = []
         for part in parts:
@@ -94,6 +151,14 @@ class AbelianGroup:
             factors.append(int(part[2:]))
         if factors == [1]:
             return cls(())
+        if all(d >= 2 for d in factors) and any(
+            b % a for a, b in zip(factors, factors[1:])
+        ):
+            canonical = cls(_invariant_factors(factors))
+            raise ValueError(
+                f"{name!r} is not in invariant-factor form (each factor must "
+                f"divide the next); this group is {canonical}"
+            )
         return cls(tuple(factors))
 
 
@@ -150,13 +215,38 @@ def _partitions(a: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _invariant_factors(cyclic_orders: Sequence[int]) -> Tuple[int, ...]:
+    """Invariant factors of the product of cyclic groups of the given orders."""
+    exponents: Dict[int, List[int]] = {}
+    for d in cyclic_orders:
+        for p, e in _factorize(d).items():
+            exponents.setdefault(p, []).append(e)
+    return _combine_prime_powers(
+        {p: sorted(es, reverse=True) for p, es in exponents.items()}
+    )
+
+
+def _combine_prime_powers(parts: Dict[int, Sequence[int]]) -> Tuple[int, ...]:
+    """Invariant factors, ascending, from each prime's non-increasing
+    exponent partition: aligning the partitions largest part first and
+    multiplying across primes gives the factors directly."""
+    t = max((len(part) for part in parts.values()), default=0)
+    descending = []
+    for j in range(t):
+        d = 1
+        for p, part in parts.items():
+            if j < len(part):
+                d *= p ** part[j]
+        descending.append(d)
+    return tuple(reversed(descending))
+
+
 def groups_of_order(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> List[AbelianGroup]:
     """One representative per isomorphism class of abelian groups of order k.
 
-    Classes correspond to a choice of partition of each prime exponent;
-    aligning the partitions largest-part-first and multiplying across
-    primes yields the invariant factors directly.  Output is sorted with
-    the cyclic group first (fewest factors, then lexicographic).
+    Classes correspond to a choice of partition of each prime exponent.
+    Output is sorted with the cyclic group first (fewest factors, then
+    lexicographic).
     """
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
@@ -165,16 +255,9 @@ def groups_of_order(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> List[AbelianGr
     fac = _factorize(k, limit)
     primes = sorted(fac)
     per_prime = [_partitions(fac[p]) for p in primes]
-    groups = []
-    for combo in itertools.product(*per_prime):
-        t = max(len(part) for part in combo)
-        descending = []
-        for j in range(t):
-            d = 1
-            for p, part in zip(primes, combo):
-                if j < len(part):
-                    d *= p ** part[j]
-            descending.append(d)
-        groups.append(AbelianGroup(tuple(reversed(descending))))
+    groups = [
+        AbelianGroup(_combine_prime_powers(dict(zip(primes, combo))))
+        for combo in itertools.product(*per_prime)
+    ]
     groups.sort(key=lambda g: (len(g.factors), g.factors))
     return groups

@@ -16,10 +16,13 @@ restricted to values outside the set generated so far (anything inside
 collides immediately), and a prefix whose set is deficient prunes its
 whole subtree.
 
-The inner loop is the performance core: membership is a flat bytearray
-over element indices with an undo log, so insert, query and rollback are
-O(1); group addition is a precomputed index table, making the same code
-path serve cyclic and non-cyclic groups.  Searches are shardable by
+The inner loop is the performance core.  Elements are the group's integer
+indices (``AbelianGroup.index``, mixed radix in element order), so
+membership is a flat bytearray with an undo log and insert, query and
+rollback are O(1).  Group addition is a table of the group's translation
+rows, one per element, each cut from slices of a shared index list: the
+same code path serves cyclic and non-cyclic groups, and the table costs
+O(|G|) slices rather than |G|^2 tuple additions.  Searches are shardable by
 first-level candidate ranges and checkpoint/resumable: the current
 prefix plus the next candidate position fully encode the DFS state, so
 resuming replays nothing.
@@ -32,8 +35,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .errors import InvariantError
 from .groups import AbelianGroup, GroupElement, cyclic
 
 CHECKPOINT_VERSION = 1
@@ -155,16 +159,10 @@ class _GroupTables:
     ordered list of negation-class representatives."""
 
     def __init__(self, G: AbelianGroup):
-        self.group = G
-        self.elements: List[GroupElement] = list(G.elements())
-        index: Dict[GroupElement, int] = {e: i for i, e in enumerate(self.elements)}
-        self.index = index
-        self.neg = [index[G.neg(e)] for e in self.elements]
-        self.add = [
-            [index[G.add(a, b)] for b in self.elements] for a in self.elements
-        ]
+        self.add = [G.translation(a) for a in range(G.order)]
+        self.neg = [row.index(0) for row in self.add]
         # Nonzero representatives of {g, -g}, ascending in element order.
-        self.reps = [i for i in range(1, len(self.elements)) if self.neg[i] >= i]
+        self.reps = [i for i in range(1, G.order) if self.neg[i] >= i]
 
 
 def first_level_count(G: AbelianGroup) -> int:
@@ -276,6 +274,7 @@ def backtrack_pl2(
             or resume.shard != shard_tuple
         ):
             raise ValueError("checkpoint does not match the requested search")
+        _check_frontier(resume.prefix, resume.next_pos, n, lo, hi, total)
         nodes = resume.nodes
         for d, pos in enumerate(resume.prefix, start=1):
             c = reps[pos]
@@ -346,7 +345,7 @@ def backtrack_pl2(
             chosen_pos[depth] = pos
             chosen[depth] = c
             if depth == n:
-                witness = tuple(tables.elements[chosen[d]] for d in range(1, n + 1))
+                witness = tuple(G.element(chosen[d]) for d in range(1, n + 1))
                 outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
                 if checkpoint_path and os.path.exists(checkpoint_path):
                     os.remove(checkpoint_path)
@@ -355,6 +354,45 @@ def backtrack_pl2(
             cand[depth] = pos + 1
         else:
             cand[depth] = pos + 1
+
+
+def _check_frontier(
+    prefix: Sequence[int], next_pos: int, n: int, lo: int, hi: int, total: int
+) -> None:
+    """Refuse a resume frontier that no search over [lo, hi) can reach.
+
+    Resuming trusts (prefix, next_pos) to mark where preorder stopped:
+    an out-of-range position would silently skip or repeat subtrees,
+    and so give a false certificate.
+    """
+    if len(prefix) >= n:
+        raise ValueError(
+            f"corrupt checkpoint: prefix of length {len(prefix)} for n = {n}"
+        )
+    if any(not 0 <= pos < total for pos in prefix):
+        raise ValueError(
+            f"corrupt checkpoint: prefix {tuple(prefix)} has a position "
+            f"outside [0, {total})"
+        )
+    if any(a >= b for a, b in zip(prefix, prefix[1:])):
+        raise ValueError(
+            f"corrupt checkpoint: prefix {tuple(prefix)} is not strictly increasing"
+        )
+    if prefix:
+        if not lo <= prefix[0] < hi:
+            raise ValueError(
+                f"corrupt checkpoint: first position {prefix[0]} outside the "
+                f"shard range [{lo}, {hi})"
+            )
+        if not prefix[-1] < next_pos <= total:
+            raise ValueError(
+                f"corrupt checkpoint: next_pos {next_pos} outside "
+                f"({prefix[-1]}, {total}]"
+            )
+    elif not lo <= next_pos <= hi:
+        raise ValueError(
+            f"corrupt checkpoint: next_pos {next_pos} outside [{lo}, {hi}]"
+        )
 
 
 def _insert_quad(
@@ -420,6 +458,9 @@ def run_sharded(
     outcomes = []
     for s in shards:
         result = backtrack_pl2(n, G, s, progress=progress)
-        assert isinstance(result, SearchOutcome)
+        if not isinstance(result, SearchOutcome):
+            raise InvariantError(
+                f"shard {s.index} returned {type(result).__name__}, not a verdict"
+            )
         outcomes.append(result)
     return merge_outcomes(outcomes)

@@ -126,10 +126,11 @@ def torus_weight(w: Sequence[int], p: int) -> int:
 def kernel_points(
     phi: Homomorphism, p: int, budget: int = DEFAULT_TORUS_BUDGET
 ) -> List[Word]:
-    """All points of [0, p)^n in the kernel of phi.
+    """All points of [0, p)^n in the kernel of phi, in lexicographic order.
 
     p must be a multiple of the code period so that phi is well defined
-    on the torus.
+    on the torus.  Only the p^(n-1) heads are enumerated: the last
+    coordinates that complete a head are looked up by its image.
     """
     if p % period_of(phi) != 0:
         raise ValueError(f"{p} is not a multiple of the period {period_of(phi)}")
@@ -137,12 +138,25 @@ def kernel_points(
         raise BudgetExceededError(
             f"torus has {p}^{phi.n} points, over the budget of {budget}"
         )
-    zero = phi.group.zero()
-    return [
-        x
-        for x in itertools.product(range(p), repeat=phi.n)
-        if hom_apply(phi, x) == zero
-    ]
+    G = phi.group
+    *head_images, last = phi.images
+    # head + x * phi(e_n) = 0 exactly when index(head) = index(-x * phi(e_n)).
+    tails: Dict[int, List[int]] = {}
+    step = G.translation(G.index(G.neg(last)))
+    g = 0
+    for x in range(p):
+        tails.setdefault(g, []).append(x)
+        g = step[g]
+    heads: List[Tuple[Word, int]] = [((), 0)]
+    for img in head_images:
+        step = G.translation(G.index(img))
+        grown = []
+        for head, g in heads:
+            for x in range(p):
+                grown.append((head + (x,), g))
+                g = step[g]
+        heads = grown
+    return [head + (x,) for head, g in heads for x in tails.get(g, ())]
 
 
 def min_distance_on_torus(code: LinearLeeCode, budget: int = DEFAULT_TORUS_BUDGET) -> int:

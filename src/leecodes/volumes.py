@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .errors import InvariantError
 from .spheres import sphere_size
 
 #: Packing efficiency of the regular octahedron in R^3 (Minkowski's
@@ -82,7 +83,7 @@ def qpl3_threshold(scan_bound: int = DEFAULT_SCAN_BOUND) -> Optional[int]:
             if holds:
                 threshold = e
         elif not holds:
-            raise AssertionError(
+            raise InvariantError(
                 f"exclusion holds at radius {threshold} but fails at {e}; "
                 "the scan bound certificate would be unsound"
             )

@@ -159,6 +159,23 @@ def test_decode_cli(tmp_path, capsys):
     data = run_json(capsys, "decode", "--code", str(code_path), "--word", "7,3")
     assert data["results"]["codeword"] == [7, 4]
     assert data["results"]["distance"] == 1
+    # The documented form for a word with a leading minus sign.
+    data = run_json(capsys, "decode", "--code", str(code_path), "--word=-7,-3")
+    assert data["results"]["codeword"] == [-7, -4]
+
+
+def test_json_flag_before_or_after_subcommand(capsys):
+    expected = json.loads((GOLDEN / "pi_report.json").read_text())
+    for argv in (
+        ["--json", "pi", "--n", "2", "--k", "16"],
+        ["pi", "--n", "2", "--k", "16", "--json"],
+        ["--json", "pi", "--n", "2", "--k", "16", "--json"],
+    ):
+        assert cli_dispatch(argv) == 0
+        assert _normalized(json.loads(capsys.readouterr().out)) == expected
+    assert "pi(2, 16) = 29" in run_human(capsys, "pi", "--n", "2", "--k", "16")
+    data = json.loads(run_human(capsys, "sphere", "--n", "3", "--r", "2", "--json"))
+    assert data["results"]["sphere_size"] == 25
 
 
 def test_bound_custom_alpha(capsys):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+from leecodes import embeddings
 from leecodes.embeddings import (
     INFINITY,
     Homomorphism,
@@ -23,7 +28,7 @@ from leecodes.embeddings import (
     pi_number_search,
     profile_to_json,
 )
-from leecodes.errors import BudgetExceededError
+from leecodes.errors import BudgetExceededError, InvariantError
 from leecodes.groups import AbelianGroup, cyclic, cyclic_element, groups_of_order
 from leecodes.spheres import (
     enumerate_shell,
@@ -112,9 +117,27 @@ def test_profile_symmetry_and_lipschitz():
                     assert abs(prof.dist[h] - prof.dist[g]) <= 1
 
 
+def image_subgroup_size(phi: Homomorphism) -> int:
+    """Order of the image of phi: the closure of the +-images under
+    addition, computed without the BFS under test."""
+    G = phi.group
+    gens = [g for img in phi.images for g in (img, G.neg(img))]
+    seen = {G.zero()}
+    todo = [G.zero()]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = G.add(g, s)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
 def test_bfs_agrees_with_exhaustive_shell_enumeration():
     # Independent oracle: enumerate lattice words shell by shell and
-    # record the first weight at which each element appears.
+    # record the first weight at which each element appears, until every
+    # element of the image has appeared.
     rng = random.Random(23)
     for _ in range(25):
         k = rng.randint(2, 40)
@@ -123,16 +146,34 @@ def test_bfs_agrees_with_exhaustive_shell_enumeration():
         phi = Homomorphism(
             G, tuple(rng.choice(list(G.elements())) for _ in range(n))
         )
+        image_size = image_subgroup_size(phi)
         oracle = {}
         for d in range(n * k + 1):
             for w in enumerate_shell(n, d):
                 g = hom_apply(phi, w)
                 if g not in oracle:
                     oracle[g] = d
-            if len(oracle) == k:
+            if len(oracle) == image_size:
                 break
         prof = distance_profile(phi)
         assert prof.dist == oracle
+
+
+def test_counts_agree_with_distances():
+    rng = random.Random(29)
+    for _ in range(60):
+        k = rng.randint(1, 60)
+        G = rng.choice(groups_of_order(k))
+        n = rng.randint(1, 3)
+        phi = Homomorphism(
+            G, tuple(rng.choice(list(G.elements())) for _ in range(n))
+        )
+        prof = distance_profile(phi)
+        assert dict(enumerate(prof.counts)) == Counter(prof.dist.values())
+        assert prof.surjective == (len(prof.dist) == k)
+        assert prof.total() == sum(prof.dist.values())
+        if prof.surjective:
+            assert prof.covering_radius() == max(prof.dist.values())
 
 
 def test_injective_on_sphere_examples():
@@ -200,6 +241,42 @@ def test_lower_bound_and_excess_reconciliation():
         near, far = excess_decomposition(phi)
         assert value - bound == near + far
         assert is_optimal(phi) == (near == 0 and far == 0)
+
+
+def test_is_optimal_bound_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(embeddings, "f_lower_bound", lambda n, k: -1)
+    with pytest.raises(InvariantError):
+        is_optimal(PHI_23)
+
+
+def test_excess_decomposition_overfull_shell_raises(monkeypatch):
+    monkeypatch.setattr(embeddings, "shell_size", lambda n, d: 1 if d else 0)
+    with pytest.raises(InvariantError):
+        excess_decomposition(PHI_23)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # Under python -O an assert would vanish; the explicit check must not.
+    code = (
+        "from leecodes import embeddings\n"
+        "from leecodes.errors import InvariantError\n"
+        "from leecodes.groups import cyclic\n"
+        "embeddings.f_lower_bound = lambda n, k: -1\n"
+        "phi = embeddings.Homomorphism(cyclic(16), ((2,), (3,)))\n"
+        "try:\n"
+        "    embeddings.is_optimal(phi)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(embeddings.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "raised"
 
 
 def test_optimal_implies_bound_met():

@@ -112,6 +112,35 @@ def test_name_round_trip():
         AbelianGroup.from_name("C_16")
 
 
+def test_from_name_refuses_non_invariant_factor_form():
+    with pytest.raises(ValueError, match="not in invariant-factor form.*Z_6"):
+        AbelianGroup.from_name("Z_2xZ_3")
+    with pytest.raises(ValueError, match="Z_2xZ_12"):
+        AbelianGroup.from_name("Z_4xZ_6")
+    with pytest.raises(ValueError, match="Z_2xZ_8"):
+        AbelianGroup.from_name("Z_8xZ_2")
+
+
+def test_index_element_and_translation_rows():
+    # Independent oracles: position in elements() and tuple addition.
+    for k in range(1, 65):
+        for G in groups_of_order(k):
+            elems = list(G.elements())
+            for i, g in enumerate(elems):
+                assert G.index(g) == i
+                assert G.element(G.index(g)) == g
+            for a in range(k):
+                row = G.translation(a)
+                assert row == [G.index(G.add(elems[a], b)) for b in elems]
+
+
+def test_translation_rows_share_int_objects():
+    G = AbelianGroup((29, 29))
+    rows = [G.translation(a) for a in (0, 1, 30, 840)]
+    for row in rows[1:]:
+        assert all(x is rows[0][x] for x in row)
+
+
 def test_invalid_groups_rejected():
     with pytest.raises(ValueError):
         AbelianGroup((1,))

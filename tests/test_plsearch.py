@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+from leecodes import plsearch
 from leecodes.embeddings import Homomorphism, is_injective_on_sphere, is_optimal
+from leecodes.errors import InvariantError
 from leecodes.groups import AbelianGroup, cyclic
 from leecodes.plsearch import (
     Checkpoint,
@@ -195,6 +197,53 @@ def test_checkpoint_mismatch_rejected():
     assert isinstance(res, Checkpoint)
     with pytest.raises(ValueError):
         backtrack_pl2(4, cyclic(43), resume=res)
+
+
+def _ck25(prefix, next_pos, shard=None):
+    shard_id = None if shard is None else 1
+    return Checkpoint(1, 3, (25,), shard, shard_id, prefix, next_pos, 0)
+
+
+@pytest.mark.parametrize(
+    "ckpt",
+    [
+        _ck25((), 10**6),  # used to return NO_WITNESS after 0 nodes
+        _ck25((), -1),  # used to wrap to reps[-1]
+        _ck25((), 13),
+        _ck25((12,), 13),  # prefix position out of range
+        _ck25((-1,), 5),
+        _ck25((3, 3), 5),  # not strictly increasing
+        _ck25((4, 2), 5),
+        _ck25((2,), 2),  # next_pos not after the last prefix position
+        _ck25((2,), 13),  # next_pos beyond the candidate list
+        _ck25((2, 5, 7), 8),  # prefix as long as n
+        _ck25((1,), 6, shard=(4, 8)),  # first position outside the shard
+        _ck25((), 3, shard=(4, 8)),  # next_pos outside the shard
+        _ck25((), 9, shard=(4, 8)),
+    ],
+)
+def test_corrupt_checkpoint_frontier_rejected(ckpt):
+    shard = None if ckpt.shard is None else Shard(1, *ckpt.shard)
+    with pytest.raises(ValueError, match="corrupt checkpoint"):
+        backtrack_pl2(3, cyclic(25), shard, resume=ckpt)
+
+
+def test_boundary_checkpoint_frontiers_accepted():
+    # Frontiers at the edges of the allowed ranges resume normally.
+    G = cyclic(25)
+    full = backtrack_pl2(3, G)
+    assert backtrack_pl2(3, G, resume=_ck25((), 0)).nodes_visited == full.nodes_visited
+    assert backtrack_pl2(3, G, resume=_ck25((), 12)).nodes_visited == 0
+    assert backtrack_pl2(3, G, resume=_ck25((1,), 12)).verdict == "NO_WITNESS"
+    out = backtrack_pl2(3, G, Shard(1, 4, 8), resume=_ck25((), 8, (4, 8)))
+    assert out.nodes_visited == 0
+
+
+def test_run_sharded_refuses_suspended_shard(monkeypatch):
+    suspended = backtrack_pl2(3, cyclic(25), node_limit=5)
+    monkeypatch.setattr(plsearch, "backtrack_pl2", lambda *a, **k: suspended)
+    with pytest.raises(InvariantError):
+        run_sharded(3, cyclic(25), 2)
 
 
 def test_shard_out_of_range_rejected():

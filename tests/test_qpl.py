@@ -216,6 +216,26 @@ def test_kernel_points_counts():
         kernel_points(phi, 14)  # not a multiple of the period
 
 
+def _brute_kernel(phi: Homomorphism, p: int):
+    zero = phi.group.zero()
+    return [
+        x for x in itertools.product(range(p), repeat=phi.n) if hom_apply(phi, x) == zero
+    ]
+
+
+def test_kernel_points_match_brute_force():
+    rng = random.Random(11)
+    G = AbelianGroup((2, 6))
+    elems = list(G.elements())
+    for n in (1, 2, 3):
+        for _ in range(15):
+            phi = Homomorphism(G, tuple(rng.choice(elems) for _ in range(n)))
+            for p in (period_of(phi), 2 * period_of(phi)):
+                assert kernel_points(phi, p) == _brute_kernel(phi, p)
+    for phi in (chom(13, 5), chom(12, 4), chom(55, 1, 5, 21)):
+        assert kernel_points(phi, period_of(phi)) == _brute_kernel(phi, period_of(phi))
+
+
 def test_torus_weight():
     assert torus_weight((0, 0), 13) == 0
     assert torus_weight((12, 1), 13) == 2

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from leecodes import volumes
+from leecodes.errors import InvariantError
 from leecodes.spheres import sphere_size
 from leecodes.volumes import (
     OCTAHEDRON_PACKING_EFFICIENCY,
@@ -95,3 +97,11 @@ def test_input_validation():
         octahedron_volume(0, 1)
     with pytest.raises(ValueError):
         kn_bound_scan(3, Fraction(0))
+
+
+def test_qpl3_threshold_non_monotone_exclusion_raises(monkeypatch):
+    # An exclusion that holds at one radius and fails at a later one
+    # would make the scan-bound certificate unsound.
+    monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e == 3)
+    with pytest.raises(InvariantError, match="fails at 4"):
+        qpl3_threshold(scan_bound=10)
