@@ -3,8 +3,8 @@
 Every subcommand prints a human-readable summary by default and a
 versioned RunReport as JSON with ``--json``.  Long searches report
 progress on standard error only; standard output carries nothing but
-the report.  Exit codes: 0 success, 2 usage error (argparse), 3 budget
-refusal.
+the report.  Exit codes: 0 success, 2 usage error (from argparse, or
+bad input refused with a ValueError), 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .embeddings import (
     profile_to_json,
 )
 from .errors import BudgetExceededError
-from .groups import AbelianGroup, cyclic, cyclic_element, groups_of_order
+from .groups import AbelianGroup, cyclic, groups_of_order
 from .planar import build_planar_embedding
 from .plsearch import (
     Checkpoint,
@@ -115,11 +115,6 @@ def _emit(report: RunReport, args: argparse.Namespace, human_lines: List[str]) -
             print(line)
 
 
-def _usage_error(message: str) -> "SystemExit":
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
-
-
 def _parse_images(text: str) -> List[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
@@ -137,8 +132,12 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
-def _cyclic_hom(k: int, images: Sequence[int]) -> Homomorphism:
-    return Homomorphism(cyclic(k), tuple(cyclic_element(k, v) for v in images))
+def _named_group(name: str, k: Optional[int]) -> AbelianGroup:
+    """The group named by --group; a --k given with it must be its order."""
+    G = AbelianGroup.from_name(name)
+    if k is not None and k != G.order:
+        raise ValueError(f"--k {k} contradicts --group {G} of order {G.order}")
+    return G
 
 
 def _pi_value(value) -> object:
@@ -163,22 +162,21 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     params = {"n": args.n, "k": args.k, "group": args.group, "images": args.images}
     report = RunReport("pi", params)
     if args.k is None and not args.group:
-        raise _usage_error("pi needs --k or --group")
+        raise ValueError("pi needs --k or --group")
+    G = _named_group(args.group, args.k) if args.group else cyclic(args.k)
     if args.images is not None:
-        G = AbelianGroup.from_name(args.group) if args.group else cyclic(args.k)
-        t = max(1, len(G.factors))
         flat = args.images
-        if len(G.factors) <= 1:
-            images = tuple(cyclic_element(G.order, v) for v in flat)
+        t = len(G.factors)
+        if t <= 1:
+            phi = Homomorphism.cyclic(G.order, flat)
+        elif len(flat) % t:
+            raise ValueError(f"images must come in blocks of {t} residues for {G}")
         else:
-            if len(flat) % t:
-                raise _usage_error(
-                    f"images must come in blocks of {t} residues for {G}"
-                )
-            images = tuple(
-                G.reduce(flat[i : i + t]) for i in range(0, len(flat), t)
+            phi = Homomorphism(
+                G, tuple(G.reduce(flat[i : i + t]) for i in range(0, len(flat), t))
             )
-        phi = Homomorphism(G, images)
+        if phi.n != args.n:
+            raise ValueError(f"--images gives {phi.n} images, but --n is {args.n}")
         value = embedding_number(phi)
         report.results = {"embedding_number": _pi_value(value), "group": str(G)}
         lines = [f"embedding number of {phi} = {_pi_value(value)}"]
@@ -186,7 +184,6 @@ def _cmd_pi(args: argparse.Namespace) -> int:
             report.results["profile"] = profile_to_json(distance_profile(phi))
             lines.append(json.dumps(report.results["profile"]))
     elif args.group:
-        G = AbelianGroup.from_name(args.group)
         value, hom = pi_group_search(args.n, G, args.budget)
         report.results = {
             "pi": _pi_value(value),
@@ -243,7 +240,7 @@ def _cmd_embed2d(args: argparse.Namespace) -> int:
 def _cmd_search_pl(args: argparse.Namespace) -> int:
     n = args.n
     k = args.k if args.k is not None else 2 * n * n + 2 * n + 1
-    G = AbelianGroup.from_name(args.group) if args.group else cyclic(k)
+    G = _named_group(args.group, args.k) if args.group else cyclic(k)
     params = {
         "n": n,
         "k": G.order,
@@ -256,8 +253,10 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
     if args.shards is not None:
         plan = plan_shards_for_group(G, args.shards)
         if args.shard_index is None or not 0 <= args.shard_index < len(plan):
-            raise _usage_error("--shards requires a valid --shard-index")
+            raise ValueError("--shards requires a valid --shard-index")
         shard = plan[args.shard_index]
+    elif args.shard_index is not None:
+        raise ValueError("--shard-index requires --shards")
 
     budget = node_budget_estimate(n)
 
@@ -403,7 +402,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         alpha = OCTAHEDRON_PACKING_EFFICIENCY
     else:
         if args.alpha is None:
-            raise _usage_error(
+            raise ValueError(
                 "packing efficiency --alpha is required for n != 3 "
                 "(only the 3-dimensional constant is built in)"
             )
@@ -440,7 +439,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         "render",
         {"k": args.k, "images": args.images, "extent": args.extent, "out": args.out},
     )
-    phi = _cyclic_hom(args.k, args.images)
+    phi = Homomorphism.cyclic(args.k, args.images)
     radii = args.radii if args.radii else None
     svg = render_grid(phi, args.extent, radii)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -593,6 +592,9 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InvariantError
-from .groups import AbelianGroup, GroupElement, groups_of_order
+from .groups import AbelianGroup, GroupElement, cyclic, cyclic_element, groups_of_order
 from .spheres import (
     Word,
     enumerate_sphere,
@@ -58,6 +57,11 @@ class Homomorphism:
                 raise ValueError(f"image {img} does not belong to {self.group}")
             if any(not 0 <= x < d for x, d in zip(img, self.group.factors)):
                 raise ValueError(f"image {img} does not belong to {self.group}")
+
+    @classmethod
+    def cyclic(cls, k: int, values: Sequence[int]) -> "Homomorphism":
+        """The homomorphism Z^n -> Z_k sending e_i to values[i] mod k."""
+        return cls(cyclic(k), tuple(cyclic_element(k, v) for v in values))
 
     @property
     def n(self) -> int:
@@ -109,10 +113,6 @@ class DistanceProfile:
     def witness(self) -> Dict[GroupElement, Word]:
         element = self.group.element
         return {element(i): w for i, w in enumerate(self.words) if w is not None}
-
-    def multiplicities(self) -> Counter:
-        """How many elements sit at each embedding weight."""
-        return Counter(dict(enumerate(self.counts)))
 
     def covering_radius(self) -> int:
         """Largest embedding weight; defined only for surjective phi."""
@@ -265,19 +265,15 @@ def excess_decomposition(phi: Homomorphism) -> Tuple[int, int]:
     return near, far
 
 
-def canonical_image(G: AbelianGroup, g: GroupElement) -> GroupElement:
-    """Representative of {g, -g}: flipping any single image of phi leaves
-    every embedding weight unchanged, so candidates are normalized."""
-    return min(g, G.neg(g))
-
-
 def normalized_image_tuples(G: AbelianGroup, n: int) -> List[Tuple[GroupElement, ...]]:
     """Image tuples up to per-coordinate negation and permutation.
 
+    Flipping any single image of phi leaves every embedding weight
+    unchanged, so each image is a representative of its class {g, -g}.
     Sorted by largest representative first, then lexicographically, so
     searches report the argmin with the smallest generators.
     """
-    reps = sorted({canonical_image(G, g) for g in G.elements()})
+    reps = [G.element(i) for i in G.negation_reps()]
     cands = list(itertools.combinations_with_replacement(reps, n))
     cands.sort(key=lambda t: (max(t), t))
     return cands
@@ -287,14 +283,13 @@ def pi_group_search(
     n: int,
     G: AbelianGroup,
     budget: int = DEFAULT_HOM_BUDGET,
-    prune: bool = True,
 ) -> Tuple[object, Optional[Homomorphism]]:
     """Minimum embedding number over all homomorphisms Z^n -> G.
 
     Returns (value, argmin) where value may be INFINITY (then argmin is
-    None).  With ``prune`` the search runs over normalized image tuples;
-    pruning is value-preserving because negating a single image or
-    permuting coordinates never changes the embedding number.
+    None).  The search runs over normalized image tuples, which is
+    value-preserving because negating a single image or permuting
+    coordinates never changes the embedding number.
     """
     if G.order**n > budget:
         raise BudgetExceededError(
@@ -302,14 +297,10 @@ def pi_group_search(
         )
     if n < G.rank:
         return INFINITY, None  # too few generators to be surjective
-    if prune:
-        candidates: Iterable[Tuple[GroupElement, ...]] = normalized_image_tuples(G, n)
-    else:
-        candidates = itertools.product(list(G.elements()), repeat=n)
     best = INFINITY
     best_hom: Optional[Homomorphism] = None
-    for images in candidates:
-        phi = Homomorphism(G, tuple(images))
+    for images in normalized_image_tuples(G, n):
+        phi = Homomorphism(G, images)
         value = embedding_number(phi)
         if value < best:
             best = value

@@ -45,10 +45,6 @@ class AbelianGroup:
         return math.prod(self.factors)
 
     @property
-    def is_cyclic(self) -> bool:
-        return len(self.factors) <= 1
-
-    @property
     def rank(self) -> int:
         """Minimum number of generators."""
         return len(self.factors)
@@ -98,6 +94,12 @@ class AbelianGroup:
             i, x = divmod(i, d)
             coords.append(x)
         return tuple(reversed(coords))
+
+    def negation_reps(self) -> List[int]:
+        """One index per class {g, -g}: the smaller index of the pair, in
+        ascending order, starting with 0.  Index order is the lexicographic
+        order of the element tuples."""
+        return [i for i, g in enumerate(self.elements()) if self.index(self.neg(g)) >= i]
 
     @cached_property
     def _indices(self) -> List[int]:

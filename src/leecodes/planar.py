@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass
 
 from .embeddings import Homomorphism, embedding_number, is_optimal
-from .groups import cyclic, cyclic_element
 from .spheres import radius_for, sphere_size
 
 logger = logging.getLogger(__name__)
@@ -54,9 +53,8 @@ def closed_form_images(k: int) -> tuple:
 
 def build_planar_embedding(k: int) -> PlanarEmbedding:
     """Construct and verify an optimal embedding of Z_k in Z^2."""
-    G = cyclic(k)
     a, b = closed_form_images(k)
-    phi = Homomorphism(G, (cyclic_element(k, a), cyclic_element(k, b)))
+    phi = Homomorphism.cyclic(k, (a, b))
     if is_optimal(phi):
         return PlanarEmbedding(phi, False, embedding_number(phi))
     logger.warning(
@@ -68,18 +66,13 @@ def build_planar_embedding(k: int) -> PlanarEmbedding:
     )
     for a in range(1, k // 2 + 1):
         for b in range(a + 1, k // 2 + 1):
-            phi = Homomorphism(G, ((a % k,), (b % k,)))
+            phi = Homomorphism.cyclic(k, (a, b))
             if is_optimal(phi):
                 return PlanarEmbedding(phi, True, embedding_number(phi))
     raise RuntimeError(
         f"no optimal generator pair exists in Z_{k}; "
         "this contradicts the planar construction guarantee"
     )
-
-
-def optimal_hom_2d(k: int) -> Homomorphism:
-    """A homomorphism Z^2 -> Z_k realizing the least embedding weight."""
-    return build_planar_embedding(k).hom
 
 
 def segment_image(r: int, m: int) -> tuple:

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError
-from .groups import AbelianGroup, GroupElement, cyclic
+from .groups import AbelianGroup, GroupElement
 
 CHECKPOINT_VERSION = 1
 DEFAULT_CHECKPOINT_EVERY = 10**7
+PROGRESS_EVERY = 10**6
 
 ProgressFn = Callable[[int], None]
 
@@ -162,25 +163,20 @@ class _GroupTables:
         self.add = [G.translation(a) for a in range(G.order)]
         self.neg = [row.index(0) for row in self.add]
         # Nonzero representatives of {g, -g}, ascending in element order.
-        self.reps = [i for i in range(1, G.order) if self.neg[i] >= i]
+        self.reps = G.negation_reps()[1:]
 
 
 def first_level_count(G: AbelianGroup) -> int:
     """Number of first-level candidates (negation classes of G - {0})."""
-    neg_fixed = sum(1 for e in G.elements() if G.neg(e) == e)
-    return (G.order - neg_fixed) // 2 + neg_fixed - 1
+    return len(G.negation_reps()) - 1
 
 
-def shard_plan(n: int, k: int, parts: int) -> List[Shard]:
-    """Split the first-level candidates of Z_k into contiguous ranges.
+def plan_shards_for_group(G: AbelianGroup, parts: int) -> List[Shard]:
+    """Split the first-level candidates of G into contiguous ranges.
 
     The union of per-shard verdicts equals the unsharded verdict: shards
     partition the depth-1 choices and subtrees are independent.
     """
-    return plan_shards_for_group(cyclic(k), parts)
-
-
-def plan_shards_for_group(G: AbelianGroup, parts: int) -> List[Shard]:
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     total = first_level_count(G)
@@ -219,7 +215,6 @@ def backtrack_pl2(
     node_limit: Optional[int] = None,
     resume: Optional[Checkpoint] = None,
     progress: Optional[ProgressFn] = None,
-    progress_every: int = 10**6,
 ):
     """Depth-first search over normalized generator tuples.
 
@@ -287,7 +282,7 @@ def backtrack_pl2(
         cand[depth] = resume.next_pos
 
     next_checkpoint = nodes + checkpoint_every
-    next_progress = nodes + progress_every
+    next_progress = nodes + PROGRESS_EVERY
     stop_at = None if node_limit is None else nodes + node_limit
 
     while True:
@@ -299,44 +294,26 @@ def backtrack_pl2(
             depth -= 1
             if depth == 0:
                 outcome = SearchOutcome("NO_WITNESS", None, nodes, shard_id)
-                if checkpoint_path and os.path.exists(checkpoint_path):
-                    os.remove(checkpoint_path)
-                return outcome
+                break
             target = undo_len[depth]
             while len(undo) > target:
                 marked[undo.pop()] = 0
             cand[depth] = chosen_pos[depth] + 1
             continue
 
-        if stop_at is not None and nodes >= stop_at:
-            ckpt = Checkpoint(
-                CHECKPOINT_VERSION,
-                n,
-                G.factors,
-                shard_tuple,
-                shard_id,
-                tuple(chosen_pos[1:depth]),
-                pos,
-                nodes,
-            )
+        if (stop_at is not None and nodes >= stop_at) or (
+            checkpoint_path and nodes >= next_checkpoint
+        ):
+            ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
+                              tuple(chosen_pos[1:depth]), pos, nodes)
             if checkpoint_path:
                 ckpt.save(checkpoint_path)
-            return ckpt
-        if checkpoint_path and nodes >= next_checkpoint:
-            Checkpoint(
-                CHECKPOINT_VERSION,
-                n,
-                G.factors,
-                shard_tuple,
-                shard_id,
-                tuple(chosen_pos[1:depth]),
-                pos,
-                nodes,
-            ).save(checkpoint_path)
+            if stop_at is not None and nodes >= stop_at:
+                return ckpt
             next_checkpoint = nodes + checkpoint_every
         if progress and nodes >= next_progress:
             progress(nodes)
-            next_progress = nodes + progress_every
+            next_progress = nodes + PROGRESS_EVERY
 
         c = reps[pos]
         nodes += 1
@@ -347,13 +324,15 @@ def backtrack_pl2(
             if depth == n:
                 witness = tuple(G.element(chosen[d]) for d in range(1, n + 1))
                 outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
-                if checkpoint_path and os.path.exists(checkpoint_path):
-                    os.remove(checkpoint_path)
-                return outcome
+                break
             depth += 1
             cand[depth] = pos + 1
         else:
             cand[depth] = pos + 1
+
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        os.remove(checkpoint_path)
+    return outcome
 
 
 def _check_frontier(

@@ -31,7 +31,7 @@ from .embeddings import (
     is_injective_on_sphere,
     is_optimal,
 )
-from .groups import AbelianGroup, GroupElement, cyclic, cyclic_element, groups_of_order
+from .groups import AbelianGroup, GroupElement, cyclic, groups_of_order
 from .spheres import Word, radius_for, sphere_size
 
 DEFAULT_TORUS_BUDGET = 10**7
@@ -226,8 +226,7 @@ class AppendixRow:
     images: Tuple[int, int, int]
 
     def homomorphism(self) -> Homomorphism:
-        G = cyclic(self.k)
-        return Homomorphism(G, tuple(cyclic_element(self.k, v) for v in self.images))
+        return Homomorphism.cyclic(self.k, self.images)
 
 
 def bundled_table_path() -> str:
@@ -304,11 +303,12 @@ def search_optimal_embedding(
     """First optimal homomorphism Z^n -> Z_k in lexicographic order, or
     None after exhausting the normalized space.
 
-    Normalization: nondecreasing image tuples with each value at most
-    k/2 (negating one image preserves all embedding weights).  Cheap
-    necessary conditions (injectivity on small spheres) prune before
-    the full check.  With ``all_groups`` every abelian group of order k
-    is searched, cyclic first.
+    Normalization: nondecreasing image tuples whose entries are the
+    representatives of the negation classes {g, -g} (negating one image
+    preserves all embedding weights).  Cheap necessary conditions
+    (injectivity on small spheres) prune before the full check.  With
+    ``all_groups`` every abelian group of order k is searched, cyclic
+    first.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -317,7 +317,7 @@ def search_optimal_embedding(
     groups: List[AbelianGroup] = groups_of_order(k) if all_groups else [cyclic(k)]
     r = radius_for(n, k)
     for G in groups:
-        reps = sorted({min(g, G.neg(g)) for g in G.elements()})
+        reps = [G.element(i) for i in G.negation_reps()]
         for images in itertools.combinations_with_replacement(reps, n):
             phi = Homomorphism(G, images)
             if r >= 1 and not is_injective_on_sphere(phi, 1):

@@ -33,11 +33,6 @@ def octahedron_volume(n: int, r: int) -> Fraction:
     return Fraction((2 * r + 1) ** n, math.factorial(n))
 
 
-def lee_sphere_volume(n: int, r: int) -> int:
-    """Volume of the radius-r Lee body: one unit cube per sphere word."""
-    return sphere_size(n, r)
-
-
 def volume_excludes_tiling(n: int, r: int, k: int, alpha: Fraction) -> bool:
     """True iff no volume-k cube cluster containing the radius-r Lee body
     can tile R^n, given packing efficiency alpha for the cross-polytope.

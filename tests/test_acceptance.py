@@ -20,7 +20,7 @@ from leecodes.embeddings import (
     is_optimal,
     pi_number_search,
 )
-from leecodes.groups import cyclic, cyclic_element, groups_of_order
+from leecodes.groups import cyclic, groups_of_order
 from leecodes.planar import build_planar_embedding
 from leecodes.plsearch import backtrack_pl2, run_sharded
 from leecodes.qpl import (
@@ -44,10 +44,6 @@ from leecodes.volumes import (
     qpl3_threshold,
     volume_excludes_tiling,
 )
-
-
-def chom(k: int, *values: int) -> Homomorphism:
-    return Homomorphism(cyclic(k), tuple(cyclic_element(k, v) for v in values))
 
 
 class stopwatch:
@@ -77,7 +73,7 @@ def test_criterion_1_sphere_sizes():
 
 def test_criterion_2_worked_example():
     with stopwatch() as w:
-        assert embedding_number(chom(16, 1, 5)) == 32
+        assert embedding_number(Homomorphism.cyclic(16, (1, 5))) == 32
         # Literal exhaustive reference over all 5 groups of order 16 and
         # every one of their 16^2 homomorphisms.
         groups = groups_of_order(16)
@@ -98,7 +94,7 @@ def test_criterion_2_worked_example():
         assert value == 29
         assert str(hom.group) == "Z_16"
         assert hom.images == ((2,), (3,))
-        assert embedding_number(chom(16, 2, 3)) == 29
+        assert embedding_number(Homomorphism.cyclic(16, (2, 3))) == 29
     assert w.elapsed < 5.0
     report("2 worked example", w, "pi(2,16)=29 by Z_16 images (2,3)")
 
@@ -173,13 +169,13 @@ def test_criterion_5_appendix_regression():
 def test_criterion_6_code_semantics_on_tori():
     with stopwatch() as w:
         # Planar perfect code: every coset decodes within distance 2.
-        code13 = build_code(chom(13, 2, 3), 2)
+        code13 = build_code(Homomorphism.cyclic(13, (2, 3)), 2)
         assert code13.classification is CodeClass.PERFECT
         for word in itertools.product(range(13), repeat=2):
             assert lee_distance(word, decode(code13, word)) <= 2
 
         # Quasi-perfect 3-D code at order 55.
-        code55 = build_code(chom(55, 1, 5, 21), 2)
+        code55 = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
         assert code55.classification is CodeClass.QUASI_PERFECT
         assert code55.covering_radius == 3
         worst = max(
@@ -292,7 +288,7 @@ def test_criterion_8_property_suites():
                 violations += 1
 
         # Decode idempotence and translation equivariance.
-        code = build_code(chom(55, 1, 5, 21), 2)
+        code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
         kernel = kernel_points(code.hom, code.period)
         for _ in range(500):
             word = tuple(rng.randint(-80, 80) for _ in range(3))

@@ -226,3 +226,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _refused(capsys, argv) -> str:
+    """Run argv, expect a usage refusal, and return the message."""
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi", "--n", "2", "--group", "Z_2xZ_3"],
+        ["embed2d", "--k", "0"],
+        ["sphere", "--n", "0", "--r", "2"],
+        ["search-qpl", "--n", "3", "--k", "0"],
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/n4.ck"],  # another search's
+        ["decode", "--code", "{tmp}/bad.json", "--word", "1,2"],
+    ],
+)
+def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
+    from leecodes.groups import cyclic
+    from leecodes.plsearch import backtrack_pl2
+
+    backtrack_pl2(4, cyclic(41), node_limit=10, checkpoint_path=str(tmp_path / "n4.ck"))
+    (tmp_path / "bad.json").write_text("{not json")
+    _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pi", "--n", "2", "--k", "24", "--group", "Z_5xZ_5"], "contradicts --group"),
+        (["search-pl", "--n", "3", "--k", "24", "--group", "Z_5xZ_5"], "contradicts --group"),
+        (["search-pl", "--n", "3", "--shard-index", "1"], "--shard-index requires --shards"),
+        (["pi", "--n", "2", "--k", "16", "--images", "1"], "but --n is 2"),
+    ],
+)
+def test_contradictory_arguments_refused(capsys, argv, message):
+    assert message in _refused(capsys, argv)

@@ -12,6 +12,7 @@ from leecodes.groups import (
     groups_of_order,
     is_square_free,
 )
+from leecodes.plsearch import first_level_count
 
 
 def _partition_count(a: int) -> int:
@@ -132,6 +133,18 @@ def test_index_element_and_translation_rows():
             for a in range(k):
                 row = G.translation(a)
                 assert row == [G.index(G.add(elems[a], b)) for b in elems]
+
+
+def test_negation_reps_match_min_of_each_pair():
+    # Oracle: the smaller tuple of each pair {g, -g}, which is also the
+    # set of first-level candidates of the radius-2 search.
+    for k in range(1, 65):
+        for G in groups_of_order(k):
+            oracle = sorted({min(g, G.neg(g)) for g in G.elements()})
+            assert G.negation_reps() == [G.index(g) for g in oracle]
+            assert first_level_count(G) == len(G.negation_reps()) - 1
+    assert cyclic(12).negation_reps() == [0, 1, 2, 3, 4, 5, 6]
+    assert AbelianGroup((2, 2)).negation_reps() == [0, 1, 2, 3]
 
 
 def test_translation_rows_share_int_objects():

@@ -6,7 +6,6 @@ from leecodes.embeddings import embedding_number, is_optimal
 from leecodes.planar import (
     build_planar_embedding,
     closed_form_images,
-    optimal_hom_2d,
     segment_image,
 )
 from leecodes.spheres import f_lower_bound, sphere_size
@@ -20,7 +19,7 @@ def test_examples():
 
 
 def test_optimal_hom_2d_surface():
-    phi = optimal_hom_2d(16)
+    phi = build_planar_embedding(16).hom
     assert is_optimal(phi)
     assert embedding_number(phi) == 29
 

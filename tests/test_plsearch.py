@@ -19,9 +19,9 @@ from leecodes.plsearch import (
     is_deficient,
     merge_outcomes,
     node_budget_estimate,
+    plan_shards_for_group,
     quad_set,
     run_sharded,
-    shard_plan,
     validate_shards,
 )
 from leecodes.spheres import sphere_size
@@ -62,9 +62,23 @@ def test_witness_for_n2():
     assert out.witness == ((1,), (5,))
 
 
+# Nodes of the full search over Z_(2n^2+2n+1) for n = 2..6 (the n = 2
+# search stops at its first witness).  Any change to the candidate order,
+# the normalization or the pruning moves these counts.
+PINNED_NODES = {2: 4, 3: 153, 4: 1_356, 5: 12_662, 6: 127_852}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_NODES))
+def test_pinned_node_counts(n):
+    out = backtrack_pl2(n, cyclic(2 * n * n + 2 * n + 1))
+    assert out.nodes_visited == PINNED_NODES[n]
+    assert out.verdict == ("WITNESS" if n == 2 else "NO_WITNESS")
+
+
 def test_no_witness_small_cases():
     assert backtrack_pl2(3, cyclic(25)).verdict == "NO_WITNESS"
-    assert backtrack_pl2(3, AbelianGroup((5, 5))).verdict == "NO_WITNESS"
+    out = backtrack_pl2(3, AbelianGroup((5, 5)))
+    assert (out.verdict, out.nodes_visited) == ("NO_WITNESS", 192)
 
 
 def _naive_verdict(n: int, G: AbelianGroup):
@@ -120,8 +134,8 @@ def test_node_budget_estimate():
 
 
 def test_shard_plan_examples():
-    assert shard_plan(3, 25, 1) == [Shard(0, 0, 12)]
-    plan = shard_plan(7, 113, 8)
+    assert plan_shards_for_group(cyclic(25), 1) == [Shard(0, 0, 12)]
+    plan = plan_shards_for_group(cyclic(113), 8)
     assert len(plan) == 8
     assert plan[0].start == 0 and plan[-1].stop == 56
     for a, b in zip(plan, plan[1:]):

@@ -9,8 +9,8 @@ import pytest
 
 from leecodes.embeddings import Homomorphism, hom_apply, is_optimal
 from leecodes.errors import BudgetExceededError
-from leecodes.groups import AbelianGroup, cyclic, cyclic_element
-from leecodes.planar import optimal_hom_2d
+from leecodes.groups import AbelianGroup, cyclic
+from leecodes.planar import build_planar_embedding
 from leecodes.qpl import (
     AppendixRow,
     CodeClass,
@@ -33,10 +33,6 @@ from leecodes.spheres import (
     radius_for,
     sphere_size,
 )
-
-
-def chom(k: int, *values: int) -> Homomorphism:
-    return Homomorphism(cyclic(k), tuple(cyclic_element(k, v) for v in values))
 
 
 # --- optimal-embedding search ------------------------------------------------
@@ -129,7 +125,7 @@ def test_malformed_csv_rejected(tmp_path):
 
 
 def test_perfect_planar_code():
-    code = build_code(chom(13, 2, 3), 2)
+    code = build_code(Homomorphism.cyclic(13, (2, 3)), 2)
     assert code.classification is CodeClass.PERFECT
     assert code.covering_radius == 2
     assert code.period == 13
@@ -137,7 +133,7 @@ def test_perfect_planar_code():
 
 
 def test_quasi_perfect_3d_code():
-    code = build_code(chom(55, 1, 5, 21), 2)
+    code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
     assert code.classification is CodeClass.QUASI_PERFECT
     assert code.covering_radius == 3
     assert min_distance_on_torus(code) >= 5
@@ -147,7 +143,7 @@ def test_other_classification():
     # Surjective and injective at radius 0, but the covering radius is 8,
     # far beyond e + 1: a valid lattice yet neither perfect nor
     # quasi-perfect.
-    code = build_code(chom(16, 1, 0), 0)
+    code = build_code(Homomorphism.cyclic(16, (1, 0)), 0)
     assert code.classification is CodeClass.OTHER
     assert code.covering_radius == 8
 
@@ -162,7 +158,7 @@ def test_perfect_exactly_at_sphere_orders():
         (55, (1, 5, 21), 2),
     ]
     for k, images, e in cases:
-        code = build_code(chom(k, *images), e)
+        code = build_code(Homomorphism.cyclic(k, images), e)
         assert (code.classification is CodeClass.PERFECT) == (
             k == sphere_size(code.n, e)
         )
@@ -172,13 +168,13 @@ def test_build_code_preconditions():
     with pytest.raises(ValueError):
         build_code(Homomorphism(cyclic(1), ((), ())), 0)  # degenerate
     with pytest.raises(ValueError):
-        build_code(chom(16, 4, 8), 1)  # not surjective
+        build_code(Homomorphism.cyclic(16, (4, 8)), 1)  # not surjective
     with pytest.raises(ValueError):
-        build_code(chom(16, 1, 5), 2)  # not injective at radius 2
+        build_code(Homomorphism.cyclic(16, (1, 5)), 2)  # not injective at radius 2
 
 
 def test_decode_examples():
-    code = build_code(chom(13, 2, 3), 2)
+    code = build_code(Homomorphism.cyclic(13, (2, 3)), 2)
     assert decode(code, (5, 1)) == (5, 1)  # 2*5+3*1 = 13 = 0: a codeword
     for w in itertools.product(range(13), repeat=2):
         c = decode(code, w)
@@ -188,7 +184,7 @@ def test_decode_examples():
 
 def test_decode_idempotent_and_equivariant():
     rng = random.Random(19)
-    code = build_code(chom(55, 1, 5, 21), 2)
+    code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
     kernel = kernel_points(code.hom, code.period)
     for _ in range(200):
         w = tuple(rng.randint(-60, 60) for _ in range(3))
@@ -200,18 +196,18 @@ def test_decode_idempotent_and_equivariant():
 
 
 def test_period_of():
-    assert period_of(chom(55, 1, 5, 21)) == 55
-    assert period_of(chom(12, 4, 6)) == 6  # lcm(3, 2)
+    assert period_of(Homomorphism.cyclic(55, (1, 5, 21))) == 55
+    assert period_of(Homomorphism.cyclic(12, (4, 6))) == 6  # lcm(3, 2)
     assert period_of(Homomorphism(AbelianGroup((2, 8)), ((1, 0), (0, 1)))) == 8
 
 
 def test_kernel_points_counts():
-    phi = chom(13, 2, 3)
+    phi = Homomorphism.cyclic(13, (2, 3))
     pts = kernel_points(phi, 13)
     assert len(pts) == 13  # 13^2 / 13
     assert all(hom_apply(phi, p) == (0,) for p in pts)
     with pytest.raises(BudgetExceededError):
-        kernel_points(chom(438, 2, 45, 122), 438)
+        kernel_points(Homomorphism.cyclic(438, (2, 45, 122)), 438)
     with pytest.raises(ValueError):
         kernel_points(phi, 14)  # not a multiple of the period
 
@@ -232,7 +228,8 @@ def test_kernel_points_match_brute_force():
             phi = Homomorphism(G, tuple(rng.choice(elems) for _ in range(n)))
             for p in (period_of(phi), 2 * period_of(phi)):
                 assert kernel_points(phi, p) == _brute_kernel(phi, p)
-    for phi in (chom(13, 5), chom(12, 4), chom(55, 1, 5, 21)):
+    for k, images in ((13, (5,)), (12, (4,)), (55, (1, 5, 21))):
+        phi = Homomorphism.cyclic(k, images)
         assert kernel_points(phi, period_of(phi)) == _brute_kernel(phi, period_of(phi))
 
 
@@ -246,22 +243,22 @@ def test_torus_weight():
 
 
 def test_tiling_classical_sphere():
-    assert torus_tiling_check(chom(13, 2, 3), enumerate_sphere(2, 2))
+    assert torus_tiling_check(Homomorphism.cyclic(13, (2, 3)), enumerate_sphere(2, 2))
 
 
 def test_tiling_rejects_duplicate_images():
     cells = list(enumerate_sphere(2, 2))
     cells[-1] = (5, 0)  # duplicates the image of another cell
-    assert not torus_tiling_check(chom(13, 2, 3), cells)
+    assert not torus_tiling_check(Homomorphism.cyclic(13, (2, 3)), cells)
 
 
 def test_tiling_size_mismatch():
     with pytest.raises(ValueError):
-        torus_tiling_check(chom(13, 2, 3), list(enumerate_sphere(2, 1)))
+        torus_tiling_check(Homomorphism.cyclic(13, (2, 3)), list(enumerate_sphere(2, 1)))
 
 
 def test_tiling_3d_leaders():
-    code = build_code(chom(27, 1, 5, 8), 2)
+    code = build_code(Homomorphism.cyclic(27, (1, 5, 8)), 2)
     leaders = list(code.coset_leaders.values())
     sphere = set(enumerate_sphere(3, 2))
     assert sphere <= set(leaders)
@@ -274,9 +271,9 @@ def test_tiling_3d_leaders():
 def test_optimal_embeddings_never_build_other():
     # Forward direction: an optimal embedding in the radius-e window
     # always yields a perfect or quasi-perfect code.
-    cases = [optimal_hom_2d(k) for k in range(2, 40)]
-    cases += [chom(k, *imgs) for k, imgs in [(27, (1, 5, 8)), (55, (1, 5, 21)),
-                                             (14, (1, 2, 5)), (7, (1, 2, 3))]]
+    cases = [build_planar_embedding(k).hom for k in range(2, 40)]
+    cases += [Homomorphism.cyclic(k, imgs) for k, imgs in [(27, (1, 5, 8)), (55, (1, 5, 21)),
+                                                           (14, (1, 2, 5)), (7, (1, 2, 3))]]
     for phi in cases:
         k = phi.group.order
         e = radius_for(phi.n, k)
@@ -319,7 +316,7 @@ def test_code_properties_match_sphere_restrictions_on_fuzzed_lattices():
     rng = random.Random(47)
     lattices = []
     for k in range(5, 22):
-        phi = optimal_hom_2d(k)
+        phi = build_planar_embedding(k).hom
         lattices.append((k, set(kernel_points(phi, k))))
     for _ in range(40):
         v1 = (rng.randint(1, 6), rng.randint(0, 6))
@@ -360,7 +357,7 @@ def test_code_properties_match_sphere_restrictions_on_fuzzed_lattices():
 
 
 def test_code_json_round_trip():
-    code = build_code(chom(55, 1, 5, 21), 2)
+    code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
     data = code_to_json(code)
     assert json.loads(json.dumps(data)) == data
     rebuilt = code_from_json(data)
@@ -370,11 +367,11 @@ def test_code_json_round_trip():
 
 
 def test_code_json_rejects_corruption():
-    data = code_to_json(build_code(chom(13, 2, 3), 2))
+    data = code_to_json(build_code(Homomorphism.cyclic(13, (2, 3)), 2))
     data["covering_radius"] = 7
     with pytest.raises(ValueError):
         code_from_json(data)
-    data = code_to_json(build_code(chom(13, 2, 3), 2))
+    data = code_to_json(build_code(Homomorphism.cyclic(13, (2, 3)), 2))
     data["version"] = 99
     with pytest.raises(ValueError):
         code_from_json(data)

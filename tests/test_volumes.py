@@ -12,7 +12,6 @@ from leecodes.volumes import (
     OCTAHEDRON_PACKING_EFFICIENCY,
     exclusion_margin,
     kn_bound_scan,
-    lee_sphere_volume,
     octahedron_volume,
     qpl3_threshold,
     volume_excludes_tiling,
@@ -25,12 +24,6 @@ def test_octahedron_volume_examples():
     assert octahedron_volume(3, 0) == Fraction(1, 6)
     assert octahedron_volume(2, 1) == Fraction(9, 2)
     assert octahedron_volume(3, 55) == Fraction(1367631, 6)
-
-
-def test_lee_sphere_volume_matches_sphere_size():
-    for n in range(1, 6):
-        for r in range(0, 31):
-            assert lee_sphere_volume(n, r) == sphere_size(n, r)
 
 
 def test_exclusion_examples():
@@ -73,7 +66,7 @@ def test_kn_bound_scan():
 def test_ratio_increases_toward_one():
     prev = None
     for r in range(1, 2001):
-        ratio = octahedron_volume(3, r) / lee_sphere_volume(3, r + 1)
+        ratio = octahedron_volume(3, r) / sphere_size(3, r + 1)
         assert ratio < 1
         if prev is not None:
             assert ratio > prev
