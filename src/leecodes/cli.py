@@ -238,6 +238,10 @@ def _cmd_embed2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_pl(args: argparse.Namespace) -> int:
+    for flag, value in (("--node-limit", args.node_limit),
+                        ("--checkpoint-every", args.checkpoint_every)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     n = args.n
     k = args.k if args.k is not None else 2 * n * n + 2 * n + 1
     G = _named_group(args.group, args.k) if args.group else cyclic(k)

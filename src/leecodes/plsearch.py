@@ -16,16 +16,18 @@ restricted to values outside the set generated so far (anything inside
 collides immediately), and a prefix whose set is deficient prunes its
 whole subtree.
 
-The inner loop is the performance core.  Elements are the group's integer
-indices (``AbelianGroup.index``, mixed radix in element order), so
-membership is a flat bytearray with an undo log and insert, query and
-rollback are O(1).  Group addition is a table of the group's translation
-rows, one per element, each cut from slices of a shared index list: the
-same code path serves cyclic and non-cyclic groups, and the table costs
-O(|G|) slices rather than |G|^2 tuple additions.  Searches are shardable by
-first-level candidate ranges and checkpoint/resumable: the current
-prefix plus the next candidate position fully encode the DFS state, so
-resuming replays nothing.
+The inner loop is the performance core.  Sets of group elements are
+Python ints used as bitsets (``_BitTables`` fixes the layout), and the
+search keeps them immutable, one per depth: the marked set, and the set
+P of +-chosen elements stored in tiled form, so that any translate P + c
+is two big-int operations in every group, cyclic or not.  A candidate's
+new elements are {+-c, +-2c} | (P + c) | (P - c); it is accepted iff they
+miss the marked set and number exactly 4 * depth.  Backtracking only
+steps the depth back, and the next candidate is the lowest open bit of
+the representative mask.  Searches are shardable by first-level
+candidate ranges and checkpoint/resumable: the current prefix plus the
+next candidate position fully encode the DFS state, so resuming only
+replays the prefix through the same acceptance test.
 """
 
 from __future__ import annotations
@@ -155,15 +157,62 @@ def node_budget_estimate(n: int) -> int:
     return math.factorial(2 * n) // math.factorial(n)
 
 
-class _GroupTables:
-    """Flat index tables for one group: addition, negation and the
-    ordered list of negation-class representatives."""
+class _BitTables:
+    """Bitset layout of one group Z_d1 x ... x Z_dt for the search kernel.
+
+    Element (x_1..x_t) sits at bit sum x_j * S_j, with S_t = 1 and
+    S_j = 2 * d_{j+1} * S_{j+1}: each coordinate has room for twice its
+    range, and bit order is element index order.  Sets live in
+    ``window`` (every x_j < d_j).  A *tiled* set has a copy at each offset
+    sum e_j * d_j * S_j, e in {0, 1}^t (``tile`` is the sum of 2^offset),
+    and its translate by g is ``(tiled >> (top - bit(g))) & window`` with
+    ``top = sum d_j * S_j``: for each element exactly one copy lands
+    inside the window; every other copy leaves some coordinate outside
+    [0, d_j), in the padding, above the top coordinate or below bit 0,
+    where the mask drops it.  All tables are keyed by candidate and stay
+    O(|G|).
+    """
 
     def __init__(self, G: AbelianGroup):
-        self.add = [G.translation(a) for a in range(G.order)]
-        self.neg = [row.index(0) for row in self.add]
+        strides = []
+        stride = 1
+        for d in reversed(G.factors):
+            strides.append(stride)
+            stride *= 2 * d
+        strides.reverse()
+        self.window = 1
+        self.tile = 1
+        top = 0
+        for d, s in zip(G.factors, strides):
+            # Copies of the lower coordinates' pattern at x_j = 0..d-1.
+            self.window = self.window * ((1 << d * s) - 1) // ((1 << s) - 1)
+            self.tile *= 1 + (1 << d * s)
+            top += d * s
+
+        def bit(x: Sequence[int], m: int) -> int:
+            # Bit of the element m * x.
+            return sum((m * v) % d * s for v, d, s in zip(x, G.factors, strides))
+
         # Nonzero representatives of {g, -g}, ascending in element order.
         self.reps = G.negation_reps()[1:]
+        # Bit of each candidate position, then one past every element.
+        self.bits: List[int] = []
+        self.pos_of = {}
+        # Per candidate bit b of c: ({+-c, +-2c}, the shifts that translate
+        # a tiled set by +c and by -c, {+-c}).
+        self.kernel = {}
+        for pos, i in enumerate(self.reps):
+            x = G.element(i)
+            b, nb = bit(x, 1), bit(x, -1)
+            self.bits.append(b)
+            self.pos_of[b] = pos
+            pm = 1 << b | 1 << nb
+            self.kernel[b] = (pm | 1 << bit(x, 2) | 1 << bit(x, -2), top - b, top - nb, pm)
+        self.bits.append(self.window.bit_length())
+
+    def mask(self, lo: int, hi: int) -> int:
+        """The bits of the candidates at positions [lo, hi)."""
+        return sum(1 << b for b in self.bits[lo:hi])
 
 
 def first_level_count(G: AbelianGroup) -> int:
@@ -225,6 +274,10 @@ def backtrack_pl2(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     expected = 2 * n * n + 2 * n + 1
     if G.order != expected:
         warnings.warn(
@@ -233,11 +286,13 @@ def backtrack_pl2(
             stacklevel=2,
         )
 
-    tables = _GroupTables(G)
-    reps = tables.reps
-    add = tables.add
-    neg = tables.neg
-    total = len(reps)
+    tables = _BitTables(G)
+    bits = tables.bits
+    pos_of = tables.pos_of
+    kernel = tables.kernel
+    window = tables.window
+    tile = tables.tile
+    total = len(tables.reps)
 
     if shard is not None:
         if not 0 <= shard.start <= shard.stop <= total:
@@ -250,17 +305,16 @@ def backtrack_pl2(
         shard_tuple = None
         shard_id = None
 
-    marked = bytearray(G.order)
-    marked[0] = 1
-    undo: List[int] = []
-    undo_len = [0] * (n + 1)
-    chosen_pos = [0] * (n + 1)  # candidate position per depth, 1-based
-    chosen = [0] * (n + 1)  # element index per depth, 1-based
-    cand = [0] * (n + 2)  # next candidate position per depth
+    reps_mask = tables.mask(0, total)
+    # On entry to each depth: the marked elements (0 is bit 0), the tiled
+    # +-chosen elements and the open candidate bits; and the bit chosen there.
+    mk, P, free = 1, 0, tables.mask(lo, hi)
+    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
+    chosen = [0] * (n + 1)
 
     depth = 1
-    cand[1] = lo
     nodes = 0
+    next_pos = lo
 
     if resume is not None:
         if (
@@ -271,64 +325,70 @@ def backtrack_pl2(
             raise ValueError("checkpoint does not match the requested search")
         _check_frontier(resume.prefix, resume.next_pos, n, lo, hi, total)
         nodes = resume.nodes
-        for d, pos in enumerate(resume.prefix, start=1):
-            c = reps[pos]
-            undo_len[d] = len(undo)
-            if not _insert_quad(c, chosen, d, marked, undo, add, neg):
+        next_pos = resume.next_pos
+        # The acceptance step of the search loop below, on the stored prefix.
+        for pos in resume.prefix:
+            b = bits[pos]
+            quad, up, down, pm = kernel[b]
+            new = quad | ((P >> up | P >> down) & window)
+            if new & mk or new.bit_count() != 4 * depth:
                 raise ValueError("corrupt checkpoint: stored prefix is deficient")
-            chosen_pos[d] = pos
-            chosen[d] = c
-        depth = len(resume.prefix) + 1
-        cand[depth] = resume.next_pos
+            chosen[depth] = b
+            depth += 1
+            mk = marked[depth] = mk | new
+            P = plus[depth] = P | pm * tile
+            free = avail[depth] = reps_mask & ~mk
 
-    next_checkpoint = nodes + checkpoint_every
-    next_progress = nodes + PROGRESS_EVERY
-    stop_at = None if node_limit is None else nodes + node_limit
+    r = bits[next_pos]  # lowest candidate bit still open at this depth
+    stop_at = math.inf if node_limit is None else nodes + node_limit
+    next_checkpoint = nodes + checkpoint_every if checkpoint_path else math.inf
+    next_progress = nodes + PROGRESS_EVERY if progress else math.inf
+    next_event = min(stop_at, next_checkpoint, next_progress)
 
     while True:
-        pos = cand[depth]
-        limit = hi if depth == 1 else total
-        while pos < limit and marked[reps[pos]]:
-            pos += 1
-        if pos >= limit:
+        rest = free >> r
+        if not rest:
             depth -= 1
             if depth == 0:
                 outcome = SearchOutcome("NO_WITNESS", None, nodes, shard_id)
                 break
-            target = undo_len[depth]
-            while len(undo) > target:
-                marked[undo.pop()] = 0
-            cand[depth] = chosen_pos[depth] + 1
+            r = chosen[depth] + 1
+            mk, P, free = marked[depth], plus[depth], avail[depth]
             continue
+        b = r + (rest & -rest).bit_length() - 1
 
-        if (stop_at is not None and nodes >= stop_at) or (
-            checkpoint_path and nodes >= next_checkpoint
-        ):
-            ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
-                              tuple(chosen_pos[1:depth]), pos, nodes)
-            if checkpoint_path:
-                ckpt.save(checkpoint_path)
-            if stop_at is not None and nodes >= stop_at:
-                return ckpt
-            next_checkpoint = nodes + checkpoint_every
-        if progress and nodes >= next_progress:
-            progress(nodes)
-            next_progress = nodes + PROGRESS_EVERY
+        if nodes >= next_event:
+            if nodes >= stop_at or nodes >= next_checkpoint:
+                prefix = tuple(pos_of[c] for c in chosen[1:depth])
+                ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
+                                  prefix, pos_of[b], nodes)
+                if checkpoint_path:
+                    ckpt.save(checkpoint_path)
+                if nodes >= stop_at:
+                    return ckpt
+                next_checkpoint = nodes + checkpoint_every
+            if nodes >= next_progress:
+                progress(nodes)
+                next_progress = nodes + PROGRESS_EVERY
+            next_event = min(stop_at, next_checkpoint, next_progress)
 
-        c = reps[pos]
         nodes += 1
-        undo_len[depth] = len(undo)
-        if _insert_quad(c, chosen, depth, marked, undo, add, neg):
-            chosen_pos[depth] = pos
-            chosen[depth] = c
-            if depth == n:
-                witness = tuple(G.element(chosen[d]) for d in range(1, n + 1))
-                outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
-                break
-            depth += 1
-            cand[depth] = pos + 1
-        else:
-            cand[depth] = pos + 1
+        r = b + 1
+        # {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct new elements
+        # unless two coincide or one is marked, and either is a deficiency.
+        quad, up, down, pm = kernel[b]
+        new = quad | ((P >> up | P >> down) & window)
+        if new & mk or new.bit_count() != 4 * depth:
+            continue
+        chosen[depth] = b
+        if depth == n:
+            witness = tuple(G.element(tables.reps[pos_of[c]]) for c in chosen[1:])
+            outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
+            break
+        depth += 1
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | pm * tile
+        free = avail[depth] = reps_mask & ~mk
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
@@ -372,44 +432,6 @@ def _check_frontier(
         raise ValueError(
             f"corrupt checkpoint: next_pos {next_pos} outside [{lo}, {hi}]"
         )
-
-
-def _insert_quad(
-    c: int,
-    chosen: List[int],
-    depth: int,
-    marked: bytearray,
-    undo: List[int],
-    add: List[List[int]],
-    neg: List[int],
-) -> bool:
-    """Mark the new quad-set elements contributed by candidate c at the
-    given depth.  Any collision (with earlier marks or among the new
-    values, including 2c = -2c torsion) is a deficiency: roll back and
-    report False.  Success marks exactly 4 * depth new elements.
-    """
-    start = len(undo)
-    row = add[c]
-    values = [c, row[c]]
-    for d in range(1, depth):
-        g = chosen[d]
-        values.append(row[g])
-        values.append(row[neg[g]])
-    for v in values:
-        if marked[v]:
-            while len(undo) > start:
-                marked[undo.pop()] = 0
-            return False
-        marked[v] = 1
-        undo.append(v)
-        nv = neg[v]
-        if marked[nv]:
-            while len(undo) > start:
-                marked[undo.pop()] = 0
-            return False
-        marked[nv] = 1
-        undo.append(nv)
-    return True
 
 
 def merge_outcomes(outcomes: Sequence[SearchOutcome]) -> SearchOutcome:

@@ -351,6 +351,9 @@ def code_from_json(data: dict) -> LinearLeeCode:
     """
     if data.get("version") != 1:
         raise ValueError(f"unsupported code version {data.get('version')!r}")
+    for field in ("group", "images", "e", "period", "covering_radius", "classification"):
+        if field not in data:
+            raise ValueError(f"code file has no {field!r} field")
     G = AbelianGroup(tuple(data["group"]))
     phi = Homomorphism(G, tuple(tuple(img) for img in data["images"]))
     code = build_code(phi, data["e"])

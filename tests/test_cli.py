@@ -246,6 +246,10 @@ def _refused(capsys, argv) -> str:
         ["search-qpl", "--n", "3", "--k", "0"],
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/n4.ck"],  # another search's
         ["decode", "--code", "{tmp}/bad.json", "--word", "1,2"],
+        ["decode", "--code", "{tmp}/partial.json", "--word", "1,2"],  # no "group"
+        ["search-pl", "--n", "3", "--node-limit", "-5"],
+        ["search-pl", "--n", "3", "--node-limit", "0"],
+        ["search-pl", "--n", "3", "--checkpoint-every", "0"],
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
@@ -254,6 +258,7 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
 
     backtrack_pl2(4, cyclic(41), node_limit=10, checkpoint_path=str(tmp_path / "n4.ck"))
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "partial.json").write_text('{"version": 1}')
     _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
 
 

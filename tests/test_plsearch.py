@@ -93,13 +93,31 @@ def _naive_verdict(n: int, G: AbelianGroup):
     return "NO_WITNESS", None
 
 
+# (n, group factors, nodes of the full search).  The later cases have
+# several factors, and torsion (2g = -2g or 2g = 0) in every factor.
+ORACLE_CASES = [
+    (2, (13,), 4),
+    (3, (25,), 153),
+    (2, (9,), 7),
+    (3, (5, 5), 192),
+    (2, (2, 6), 15),
+    (3, (3, 12), 19),
+    (3, (2, 2, 6), 61),
+    (2, (2, 2, 2, 4), 23),
+    (4, (7, 7), 12),
+    # Witnesses that need a translate wrapping around a Z_2 factor.
+    (2, (2, 10), 7),
+    (3, (2, 16), 22),
+]
+
+
 def test_oracle_equivalence():
-    for n, G in [(2, Z13), (3, cyclic(25)), (2, cyclic(9)), (3, AbelianGroup((5, 5)))]:
+    for n, factors, nodes in ORACLE_CASES:
+        G = AbelianGroup(factors)
         verdict, tup = _naive_verdict(n, G)
         out = backtrack_pl2(n, G)
-        assert out.verdict == verdict
-        if tup is not None:
-            assert out.witness == tup
+        assert (out.verdict, out.witness) == (verdict, tup), factors
+        assert out.nodes_visited == nodes, factors
 
 
 def test_prune_soundness():
@@ -176,21 +194,22 @@ def test_merge_prefers_lowest_shard_witness():
     assert merged.nodes_visited == 20
 
 
-def test_checkpoint_resume_identical_verdict(tmp_path):
-    # Interrupt every few hundred nodes and resume until done; the
-    # verdict and node count must match an uninterrupted run.
-    uninterrupted = backtrack_pl2(5, cyclic(61))
-    state = None
-    hops = 0
-    while True:
-        res = backtrack_pl2(5, cyclic(61), node_limit=700, resume=state)
-        if isinstance(res, SearchOutcome):
-            break
-        state = res
-        hops += 1
-    assert hops > 3
-    assert res.verdict == uninterrupted.verdict == "NO_WITNESS"
-    assert res.nodes_visited == uninterrupted.nodes_visited
+def test_checkpoint_resume_identical_verdict():
+    # Interrupt every few hundred (or few dozen) nodes and resume until
+    # done; the verdict and node count must match an uninterrupted run.
+    for n, G, hop in [(5, cyclic(61), 700), (3, AbelianGroup((5, 5)), 40)]:
+        uninterrupted = backtrack_pl2(n, G)
+        state = None
+        hops = 0
+        while True:
+            res = backtrack_pl2(n, G, node_limit=hop, resume=state)
+            if isinstance(res, SearchOutcome):
+                break
+            state = res
+            hops += 1
+        assert hops > 3
+        assert res.verdict == uninterrupted.verdict == "NO_WITNESS"
+        assert res.nodes_visited == uninterrupted.nodes_visited
 
 
 def test_checkpoint_file_round_trip(tmp_path):
@@ -234,6 +253,7 @@ def _ck25(prefix, next_pos, shard=None):
         _ck25((1,), 6, shard=(4, 8)),  # first position outside the shard
         _ck25((), 3, shard=(4, 8)),  # next_pos outside the shard
         _ck25((), 9, shard=(4, 8)),
+        _ck25((0, 1), 2),  # deficient prefix: 1 + 1 = 2
     ],
 )
 def test_corrupt_checkpoint_frontier_rejected(ckpt):
@@ -263,6 +283,16 @@ def test_run_sharded_refuses_suspended_shard(monkeypatch):
 def test_shard_out_of_range_rejected():
     with pytest.raises(ValueError):
         backtrack_pl2(2, Z13, Shard(0, 0, 99))
+
+
+def test_invalid_limits_rejected():
+    with pytest.raises(ValueError, match="node_limit"):
+        backtrack_pl2(3, cyclic(25), node_limit=-1)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        backtrack_pl2(3, cyclic(25), checkpoint_every=0)
+    # A zero limit stays valid: it suspends before the first node.
+    ckpt = backtrack_pl2(3, cyclic(25), node_limit=0)
+    assert (ckpt.prefix, ckpt.next_pos, ckpt.nodes) == ((), 0, 0)
 
 
 def test_nonstandard_order_warns():

@@ -375,3 +375,7 @@ def test_code_json_rejects_corruption():
     data["version"] = 99
     with pytest.raises(ValueError):
         code_from_json(data)
+    data = code_to_json(build_code(Homomorphism.cyclic(13, (2, 3)), 2))
+    del data["images"]
+    with pytest.raises(ValueError, match="'images'"):
+        code_from_json(data)
