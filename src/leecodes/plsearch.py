@@ -28,6 +28,11 @@ the representative mask.  Searches are shardable by first-level
 candidate ranges and checkpoint/resumable: the current prefix plus the
 next candidate position fully encode the DFS state, so resuming only
 replays the prefix through the same acceptance test.
+
+``_BitTables`` serves both searches here: ``backtrack_pl2`` and
+``ball_injective_tuples``, the prefix-pruned walk that feeds
+``qpl.search_optimal_embedding`` with the tuples injective on the
+radius-1 or radius-2 ball.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError
 from .groups import AbelianGroup, GroupElement
@@ -99,8 +104,13 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "Checkpoint":
+        if not isinstance(data, dict):
+            raise ValueError("checkpoint file is not a JSON object")
         if data.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
+        for field in ("n", "group_factors", "prefix", "next_pos", "nodes"):
+            if field not in data:
+                raise ValueError(f"checkpoint file has no {field!r} field")
         return cls(
             version=data["version"],
             n=data["n"],
@@ -141,13 +151,6 @@ def quad_set(tup: Sequence[GroupElement], G: AbelianGroup) -> set:
                 out.add(v)
                 out.add(G.neg(v))
     return out
-
-
-def is_deficient(tup: Sequence[GroupElement], G: AbelianGroup) -> bool:
-    """True iff the tuple's quad set falls short of full sphere size,
-    i.e. the induced homomorphism cannot be injective on radius 2."""
-    m = len(tup)
-    return len(quad_set(tup, G)) < 2 * m * m + 2 * m + 1
 
 
 def node_budget_estimate(n: int) -> int:
@@ -213,6 +216,63 @@ class _BitTables:
     def mask(self, lo: int, hi: int) -> int:
         """The bits of the candidates at positions [lo, hi)."""
         return sum(1 << b for b in self.bits[lo:hi])
+
+
+def ball_injective_tuples(
+    n: int, G: AbelianGroup, radius: int
+) -> Iterator[Tuple[GroupElement, ...]]:
+    """Every n-tuple of nonzero negation-class representatives of G,
+    strictly increasing in element order, whose homomorphism Z^n -> G is
+    one-to-one on the radius-``radius`` ball (1 or 2), in lexicographic
+    order.
+
+    Depth-first over candidate positions with the acceptance step of
+    ``backtrack_pl2``.  At radius 2 the new elements of candidate c are
+    {+-c, +-2c} | (P + c) | (P - c); at radius 1 they are {+-c}.  Either
+    way a candidate is accepted iff they miss the marked set and are all
+    distinct.  The radius-r ball of Z^j sits inside that of Z^n, so a
+    prefix that collides prunes its whole subtree.
+    """
+    if radius not in (1, 2):
+        raise ValueError(f"radius must be 1 or 2, got {radius}")
+    tables = _BitTables(G)
+    pos_of = tables.pos_of
+    kernel = tables.kernel
+    window = tables.window
+    tile = tables.tile
+    reps_mask = tables.mask(0, len(tables.reps))
+    # Per depth, as in backtrack_pl2: marked, tiled +-chosen, open candidates.
+    mk, P, free = 1, 0, reps_mask
+    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
+    chosen = [0] * (n + 1)
+    depth = 1
+    r = 0
+    while True:
+        rest = free >> r
+        if not rest:
+            depth -= 1
+            if depth == 0:
+                return
+            r = chosen[depth] + 1
+            mk, P, free = marked[depth], plus[depth], avail[depth]
+            continue
+        b = r + (rest & -rest).bit_length() - 1
+        r = b + 1
+        quad, up, down, pm = kernel[b]
+        if radius == 2:
+            new, size = quad | ((P >> up | P >> down) & window), 4 * depth
+        else:
+            new, size = pm, 2
+        if new & mk or new.bit_count() != size:
+            continue
+        chosen[depth] = b
+        if depth == n:
+            yield tuple(G.element(tables.reps[pos_of[c]]) for c in chosen[1:])
+            continue
+        depth += 1
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | pm * tile
+        free = avail[depth] = reps_mask & ~mk
 
 
 def first_level_count(G: AbelianGroup) -> int:

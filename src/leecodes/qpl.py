@@ -32,6 +32,7 @@ from .embeddings import (
     is_optimal,
 )
 from .groups import AbelianGroup, GroupElement, cyclic, groups_of_order
+from .plsearch import ball_injective_tuples
 from .spheres import Word, radius_for, sphere_size
 
 DEFAULT_TORUS_BUDGET = 10**7
@@ -305,8 +306,13 @@ def search_optimal_embedding(
 
     Normalization: nondecreasing image tuples whose entries are the
     representatives of the negation classes {g, -g} (negating one image
-    preserves all embedding weights).  Cheap necessary conditions
-    (injectivity on small spheres) prune before the full check.  With
+    preserves all embedding weights).  With r = radius_for(n, k) >= 1 an
+    optimal phi is injective on the radius-r ball, so no image is zero
+    or repeated, and the tuples are strictly increasing.  They come from
+    ``plsearch.ball_injective_tuples`` at radius min(r, 2), a depth-first
+    walk that drops a prefix as soon as its images of the ball collide;
+    the tuples that survive reach ``is_optimal`` in the same
+    lexicographic order.  With r = 0 every tuple is tested.  With
     ``all_groups`` every abelian group of order k is searched, cyclic
     first.
     """
@@ -317,13 +323,13 @@ def search_optimal_embedding(
     groups: List[AbelianGroup] = groups_of_order(k) if all_groups else [cyclic(k)]
     r = radius_for(n, k)
     for G in groups:
-        reps = [G.element(i) for i in G.negation_reps()]
-        for images in itertools.combinations_with_replacement(reps, n):
+        if r == 0:
+            reps = [G.element(i) for i in G.negation_reps()]
+            tuples = itertools.combinations_with_replacement(reps, n)
+        else:
+            tuples = ball_injective_tuples(n, G, min(r, 2))
+        for images in tuples:
             phi = Homomorphism(G, images)
-            if r >= 1 and not is_injective_on_sphere(phi, 1):
-                continue
-            if r >= 2 and not is_injective_on_sphere(phi, 2):
-                continue
             if is_optimal(phi):
                 return phi
     return None
@@ -349,6 +355,8 @@ def code_from_json(data: dict) -> LinearLeeCode:
     homomorphism; period, covering radius and classification are
     cross-checked against the stored values.
     """
+    if not isinstance(data, dict):
+        raise ValueError("code file is not a JSON object")
     if data.get("version") != 1:
         raise ValueError(f"unsupported code version {data.get('version')!r}")
     for field in ("group", "images", "e", "period", "covering_radius", "classification"):

@@ -5,8 +5,8 @@ radius-r Lee body induces a packing by the cross-polytope spanned by
 the points +-(r + 1/2) e_i.  If the cross-polytope volume exceeds an
 alpha fraction of the tile volume, where alpha is the cross-polytope's
 packing efficiency, no such tiling exists and the tile order has no
-optimal embedding.  All comparisons are exact rationals; no float ever
-enters a verdict.
+optimal embedding.  Verdicts compare integers, the rational comparison
+cleared of denominators; no float ever enters a verdict.
 """
 
 from __future__ import annotations
@@ -48,7 +48,13 @@ def volume_excludes_tiling(n: int, r: int, k: int, alpha: Fraction) -> bool:
             f"tile volume {k} outside the radius-{r} window "
             f"[{sphere_size(n, r)}, {sphere_size(n, r + 1)})"
         )
-    return octahedron_volume(n, r) > alpha * k
+    return _exceeds(n, r, k, alpha)
+
+
+def _exceeds(n: int, r: int, k: int, alpha: Fraction) -> bool:
+    """octahedron_volume(n, r) > alpha * k, cleared of denominators:
+    (2r+1)^n * den(alpha) > num(alpha) * k * n!."""
+    return (2 * r + 1) ** n * alpha.denominator > alpha.numerator * k * math.factorial(n)
 
 
 def exclusion_margin(n: int, r: int, alpha: Fraction) -> Fraction:
@@ -95,6 +101,6 @@ def kn_bound_scan(
         raise ValueError(f"packing efficiency must be in (0, 1], got {alpha}")
     for r in range(r_max + 1):
         k = sphere_size(n, r + 1) - 1
-        if octahedron_volume(n, r) > alpha * k:
+        if _exceeds(n, r, k, alpha):
             return r, sphere_size(n, r)
     return None

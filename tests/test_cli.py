@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import leecodes
 from leecodes.cli import RunReport, cli_dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +55,18 @@ def test_run_report_round_trip():
 def test_sphere_human(capsys):
     out = run_human(capsys, "sphere", "--n", "3", "--r", "2")
     assert "25" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(leecodes.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "leecodes", "sphere", "--n", "3", "--r", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert "25" in out.stdout
 
 
 def test_pi_with_images(capsys):
@@ -250,6 +266,8 @@ def _refused(capsys, argv) -> str:
         ["search-pl", "--n", "3", "--node-limit", "-5"],
         ["search-pl", "--n", "3", "--node-limit", "0"],
         ["search-pl", "--n", "3", "--checkpoint-every", "0"],
+        ["decode", "--code", "{tmp}/list.json", "--word", "1,2"],  # not an object
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/partial.json"],  # no "n"
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
@@ -259,6 +277,7 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
     backtrack_pl2(4, cyclic(41), node_limit=10, checkpoint_path=str(tmp_path / "n4.ck"))
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "partial.json").write_text('{"version": 1}')
+    (tmp_path / "list.json").write_text("[1, 2]")
     _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
 
 

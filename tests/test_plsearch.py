@@ -9,14 +9,14 @@ import pytest
 from leecodes import plsearch
 from leecodes.embeddings import Homomorphism, is_injective_on_sphere, is_optimal
 from leecodes.errors import InvariantError
-from leecodes.groups import AbelianGroup, cyclic
+from leecodes.groups import AbelianGroup, cyclic, groups_of_order
 from leecodes.plsearch import (
     Checkpoint,
     SearchOutcome,
     Shard,
     backtrack_pl2,
+    ball_injective_tuples,
     first_level_count,
-    is_deficient,
     merge_outcomes,
     node_budget_estimate,
     plan_shards_for_group,
@@ -38,12 +38,13 @@ def test_quad_set_examples():
 
 
 def test_is_deficient_examples():
-    assert not is_deficient([(1,), (5,)], Z13)
-    assert is_deficient([(1,), (2,)], Z13)
+    # A tuple is deficient when its quad set misses the sphere size.
+    assert len(quad_set([(1,), (5,)], Z13)) == 13
+    assert len(quad_set([(1,), (2,)], Z13)) < 13
     # order-4 torsion: 2g = -2g
-    assert is_deficient([(1,)], cyclic(4))
+    assert len(quad_set([(1,)], cyclic(4))) < 5
     # 2g = 0 collides with 0
-    assert is_deficient([(2,)], cyclic(4))
+    assert len(quad_set([(2,)], cyclic(4))) < 5
 
 
 def test_quad_set_size_bound():
@@ -111,6 +112,26 @@ ORACLE_CASES = [
 ]
 
 
+def test_ball_injective_tuples_match_sphere_filter():
+    # Every nondecreasing tuple of negation representatives, zero
+    # included, that is one-to-one on the ball, in lexicographic order.
+    # Radius-2 triples first exist past order 25, so 36 and 41 are added.
+    for k in [*range(1, 26), 36, 41]:
+        for G in groups_of_order(k):
+            reps = [G.element(i) for i in G.negation_reps()]
+            for n in (1, 2, 3):
+                tuples = list(itertools.combinations_with_replacement(reps, n))
+                for radius in (1, 2):
+                    expected = [
+                        t for t in tuples
+                        if is_injective_on_sphere(Homomorphism(G, t), radius)
+                    ]
+                    assert list(ball_injective_tuples(n, G, radius)) == expected, (
+                        G, n, radius)
+    with pytest.raises(ValueError):
+        list(ball_injective_tuples(2, Z13, 3))
+
+
 def test_oracle_equivalence():
     for n, factors, nodes in ORACLE_CASES:
         G = AbelianGroup(factors)
@@ -129,10 +150,10 @@ def test_prune_soundness():
         G = cyclic(k)
         m = rng.randint(1, 3)
         prefix = [(rng.randint(1, k - 1),) for _ in range(m)]
-        if not is_deficient(prefix, G):
+        full = lambda t: 2 * len(t) ** 2 + 2 * len(t) + 1
+        if not len(quad_set(prefix, G)) < full(prefix):
             continue
         extension = prefix + [(rng.randint(1, k - 1),)]
-        full = lambda t: 2 * len(t) ** 2 + 2 * len(t) + 1
         assert len(quad_set(extension, G)) < full(extension)
 
 

@@ -7,9 +7,9 @@ from collections import deque
 
 import pytest
 
-from leecodes.embeddings import Homomorphism, hom_apply, is_optimal
+from leecodes.embeddings import Homomorphism, hom_apply, is_injective_on_sphere, is_optimal
 from leecodes.errors import BudgetExceededError
-from leecodes.groups import AbelianGroup, cyclic
+from leecodes.groups import AbelianGroup, cyclic, groups_of_order
 from leecodes.planar import build_planar_embedding
 from leecodes.qpl import (
     AppendixRow,
@@ -56,6 +56,61 @@ def test_search_is_deterministic():
 def test_search_all_groups_mode():
     phi = search_optimal_embedding(2, 13, all_groups=True)
     assert phi is not None and phi.group == cyclic(13)
+
+
+def _oracle_search(n, G):
+    """The unpruned search on one group: every nondecreasing tuple of
+    negation representatives, the radius-1 and radius-2 injectivity
+    prefilters, then the optimality test."""
+    r = radius_for(n, G.order)
+    reps = [G.element(i) for i in G.negation_reps()]
+    for images in itertools.combinations_with_replacement(reps, n):
+        phi = Homomorphism(G, images)
+        if r >= 1 and not is_injective_on_sphere(phi, 1):
+            continue
+        if r >= 2 and not is_injective_on_sphere(phi, 2):
+            continue
+        if is_optimal(phi):
+            return phi
+    return None
+
+
+# Radius windows 0, 1 and 2 for every n; the non-cyclic groups include
+# Z_3xZ_3, Z_2xZ_6, Z_2xZ_2xZ_4, Z_5xZ_5 and, at n = 4, Z_3xZ_12, which
+# holds the first optimal embedding of order 36.
+WALK_ORDERS = {1: range(1, 9), 2: range(1, 28), 3: range(1, 31), 4: [*range(1, 17), 36, 41]}
+
+
+@pytest.mark.parametrize("n", sorted(WALK_ORDERS))
+def test_search_matches_unpruned_oracle(n):
+    radii = set()
+    for k in WALK_ORDERS[n]:
+        radii.add(radius_for(n, k))
+        groups = groups_of_order(k)
+        assert groups[0] == cyclic(k)
+        found = (_oracle_search(n, G) for G in groups)
+        cyclic_phi = next(found)
+        assert search_optimal_embedding(n, k) == cyclic_phi, (n, k)
+        first = cyclic_phi or next((phi for phi in found if phi is not None), None)
+        assert search_optimal_embedding(n, k, all_groups=True) == first, (n, k)
+    assert {0, 1, 2} <= radii
+
+
+@pytest.mark.parametrize(
+    "n, k, images",
+    [(4, 50, (1, 4, 15, 22)), (3, 100, (1, 16, 22)), (3, 26, None)],
+)
+def test_search_pinned_results(n, k, images):
+    phi = search_optimal_embedding(n, k)
+    assert (phi and tuple(g for (g,) in phi.images)) == images
+
+
+@pytest.mark.slow
+def test_search_non_unit_first_image():
+    # ~35 s: the first optimal embedding of order 438 = 2*3*73 starts
+    # with the non-unit 2, as in the bundled table.
+    phi = search_optimal_embedding(3, 438)
+    assert phi.images == ((2,), (45,), (122,))
 
 
 def test_search_budget_refusal():

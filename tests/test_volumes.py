@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -83,6 +84,24 @@ def test_exact_verdicts_match_high_precision_recomputation():
         lhs = Decimal((2 * e + 1) ** 3) / Decimal(6) / Decimal(k)
         rhs = Decimal(18) / Decimal(19)
         assert volume_excludes_tiling(3, e, k, ALPHA3) == (lhs > rhs)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(18, 19), Fraction(9, 10), Fraction(1)])
+def test_integer_verdicts_match_fraction_form(alpha):
+    # The verdicts compare integers; the Fraction form is the reference.
+    for n in range(2, 6):
+        first_hit = None
+        for r in range(201):
+            lo, hi = sphere_size(n, r), sphere_size(n, r + 1)
+            volume = octahedron_volume(n, r)
+            # vol > alpha * k flips between k = floor(vol / alpha) and the next k.
+            edge = math.floor(volume / alpha)
+            for k in {lo, hi - 1, edge, edge + 1}:
+                if lo <= k < hi:
+                    assert volume_excludes_tiling(n, r, k, alpha) == (volume > alpha * k)
+            if first_hit is None and volume > alpha * (hi - 1):
+                first_hit = (r, lo)
+        assert kn_bound_scan(n, alpha, r_max=200) == first_hit
 
 
 def test_input_validation():
