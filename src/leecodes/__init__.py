@@ -36,6 +36,7 @@ from .embeddings import (
     is_surjective_on_sphere,
     pi_group,
     pi_number,
+    weight_counts,
 )
 
 __all__ = [
@@ -65,5 +66,6 @@ __all__ = [
     "radius_for",
     "shell_size",
     "sphere_size",
+    "weight_counts",
     "__version__",
 ]

@@ -10,7 +10,9 @@ Hot kernels work on one integer encoding instead: ``index`` numbers the
 elements 0..|G|-1 by mixed radix, in the order of ``elements()``, and
 ``translation(a)`` is the row b -> index(a + b), cut from slices of one
 shared ``list(range(|G|))`` so that no per-element arithmetic is done
-and every row holds the same int objects.
+and every row holds the same int objects.  ``bits`` is the bitset
+layout (``BitLayout``) of the big-int kernels: the radius-2 searches of
+``plsearch`` and the level BFS of ``embeddings.weight_counts``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,37 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 GroupElement = Tuple[int, ...]
 
 DEFAULT_FACTOR_LIMIT = 10**9
+
+
+class BitLayout(NamedTuple):
+    """Bitset layout of a group Z_d1 x ... x Z_dt, for sets held as Python ints.
+
+    Element (x_1..x_t) sits at bit sum x_j * S_j (``strides``), with
+    S_t = 1 and S_j = 2 * d_{j+1} * S_{j+1}: each coordinate has room for
+    twice its range, and bit order is element index order.  Sets live in
+    ``window`` (every x_j < d_j).  A *tiled* set has a copy at each offset
+    sum e_j * d_j * S_j, e in {0, 1}^t (``tile`` is the sum of 2^offset),
+    and its translate by g is ``(tiled >> (top - bit(g))) & window`` with
+    ``top = sum d_j * S_j``: for each element exactly one copy lands
+    inside the window; every other copy leaves some coordinate outside
+    [0, d_j), in the padding, above the top coordinate or below bit 0,
+    where the mask drops it.
+    """
+
+    factors: Tuple[int, ...]
+    strides: Tuple[int, ...]
+    window: int
+    tile: int
+    top: int
+
+    def bit(self, x: Sequence[int], m: int = 1) -> int:
+        """The bit of the element m * x."""
+        return sum((m * v) % d * s for v, d, s in zip(x, self.factors, self.strides))
 
 
 @dataclass(frozen=True)
@@ -100,6 +128,24 @@ class AbelianGroup:
         ascending order, starting with 0.  Index order is the lexicographic
         order of the element tuples."""
         return [i for i, g in enumerate(self.elements()) if self.index(self.neg(g)) >= i]
+
+    @cached_property
+    def bits(self) -> BitLayout:
+        """The bitset layout of this group; see ``BitLayout``."""
+        strides = []
+        stride = 1
+        for d in reversed(self.factors):
+            strides.append(stride)
+            stride *= 2 * d
+        strides.reverse()
+        window = tile = 1
+        top = 0
+        for d, s in zip(self.factors, strides):
+            # Copies of the lower coordinates' pattern at x_j = 0..d-1.
+            window = window * ((1 << d * s) - 1) // ((1 << s) - 1)
+            tile *= 1 + (1 << d * s)
+            top += d * s
+        return BitLayout(self.factors, tuple(strides), window, tile, top)
 
     @cached_property
     def _indices(self) -> List[int]:

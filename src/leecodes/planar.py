@@ -19,8 +19,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .embeddings import Homomorphism, embedding_number, is_optimal
-from .spheres import radius_for, sphere_size
+from .embeddings import Homomorphism, is_optimal
+from .spheres import f_lower_bound, radius_for, sphere_size
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +52,15 @@ def closed_form_images(k: int) -> tuple:
 
 
 def build_planar_embedding(k: int) -> PlanarEmbedding:
-    """Construct and verify an optimal embedding of Z_k in Z^2."""
+    """Construct and verify an optimal embedding of Z_k in Z^2.
+
+    The embedding weight of an optimal phi is f(2, k): ``is_optimal``
+    raises ``InvariantError`` rather than pass a phi whose total differs.
+    """
     a, b = closed_form_images(k)
     phi = Homomorphism.cyclic(k, (a, b))
     if is_optimal(phi):
-        return PlanarEmbedding(phi, False, embedding_number(phi))
+        return PlanarEmbedding(phi, False, f_lower_bound(2, k))
     logger.warning(
         "closed-form pair (%d, %d) failed verification for k=%d; "
         "falling back to exhaustive pair search",
@@ -68,7 +72,7 @@ def build_planar_embedding(k: int) -> PlanarEmbedding:
         for b in range(a + 1, k // 2 + 1):
             phi = Homomorphism.cyclic(k, (a, b))
             if is_optimal(phi):
-                return PlanarEmbedding(phi, True, embedding_number(phi))
+                return PlanarEmbedding(phi, True, f_lower_bound(2, k))
     raise RuntimeError(
         f"no optimal generator pair exists in Z_{k}; "
         "this contradicts the planar construction guarantee"

@@ -17,8 +17,8 @@ collides immediately), and a prefix whose set is deficient prunes its
 whole subtree.
 
 The inner loop is the performance core.  Sets of group elements are
-Python ints used as bitsets (``_BitTables`` fixes the layout), and the
-search keeps them immutable, one per depth: the marked set, and the set
+Python ints used as bitsets (``AbelianGroup.bits`` fixes the layout), and
+the search keeps them immutable, one per depth: the marked set, and the set
 P of +-chosen elements stored in tiled form, so that any translate P + c
 is two big-int operations in every group, cyclic or not.  A candidate's
 new elements are {+-c, +-2c} | (P + c) | (P - c); it is accepted iff they
@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvariantError
+from .errors import InvariantError, check_json_fields
 from .groups import AbelianGroup, GroupElement
 
 CHECKPOINT_VERSION = 1
@@ -108,9 +108,12 @@ class Checkpoint:
             raise ValueError("checkpoint file is not a JSON object")
         if data.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-        for field in ("n", "group_factors", "prefix", "next_pos", "nodes"):
-            if field not in data:
-                raise ValueError(f"checkpoint file has no {field!r} field")
+        check_json_fields(
+            data,
+            "checkpoint file",
+            {"n": int, "group_factors": [int], "prefix": [int], "next_pos": int, "nodes": int},
+            {"shard": [int], "shard_id": int},
+        )
         return cls(
             version=data["version"],
             n=data["n"],
@@ -161,41 +164,18 @@ def node_budget_estimate(n: int) -> int:
 
 
 class _BitTables:
-    """Bitset layout of one group Z_d1 x ... x Z_dt for the search kernel.
-
-    Element (x_1..x_t) sits at bit sum x_j * S_j, with S_t = 1 and
-    S_j = 2 * d_{j+1} * S_{j+1}: each coordinate has room for twice its
-    range, and bit order is element index order.  Sets live in
-    ``window`` (every x_j < d_j).  A *tiled* set has a copy at each offset
-    sum e_j * d_j * S_j, e in {0, 1}^t (``tile`` is the sum of 2^offset),
-    and its translate by g is ``(tiled >> (top - bit(g))) & window`` with
-    ``top = sum d_j * S_j``: for each element exactly one copy lands
-    inside the window; every other copy leaves some coordinate outside
-    [0, d_j), in the padding, above the top coordinate or below bit 0,
-    where the mask drops it.  All tables are keyed by candidate and stay
-    O(|G|).
+    """Candidate tables of one group for the search kernel, on the group's
+    ``BitLayout`` (``G.bits``): each set of elements is an int, and the
+    translate of a tiled set by g is ``(tiled >> (top - bit(g))) & window``.
+    All tables are keyed by candidate and stay O(|G|).
     """
 
     def __init__(self, G: AbelianGroup):
-        strides = []
-        stride = 1
-        for d in reversed(G.factors):
-            strides.append(stride)
-            stride *= 2 * d
-        strides.reverse()
-        self.window = 1
-        self.tile = 1
-        top = 0
-        for d, s in zip(G.factors, strides):
-            # Copies of the lower coordinates' pattern at x_j = 0..d-1.
-            self.window = self.window * ((1 << d * s) - 1) // ((1 << s) - 1)
-            self.tile *= 1 + (1 << d * s)
-            top += d * s
-
-        def bit(x: Sequence[int], m: int) -> int:
-            # Bit of the element m * x.
-            return sum((m * v) % d * s for v, d, s in zip(x, G.factors, strides))
-
+        layout = G.bits
+        self.window = layout.window
+        self.tile = layout.tile
+        top = layout.top
+        bit = layout.bit
         # Nonzero representatives of {g, -g}, ascending in element order.
         self.reps = G.negation_reps()[1:]
         # Bit of each candidate position, then one past every element.

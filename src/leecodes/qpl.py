@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_json_fields
 from .embeddings import (
     Homomorphism,
     distance_profile,
@@ -359,9 +359,12 @@ def code_from_json(data: dict) -> LinearLeeCode:
         raise ValueError("code file is not a JSON object")
     if data.get("version") != 1:
         raise ValueError(f"unsupported code version {data.get('version')!r}")
-    for field in ("group", "images", "e", "period", "covering_radius", "classification"):
-        if field not in data:
-            raise ValueError(f"code file has no {field!r} field")
+    check_json_fields(
+        data,
+        "code file",
+        {"group": [int], "images": [[int]], "e": int, "period": int, "covering_radius": int,
+         "classification": str},
+    )
     G = AbelianGroup(tuple(data["group"]))
     phi = Homomorphism(G, tuple(tuple(img) for img in data["images"]))
     code = build_code(phi, data["e"])

@@ -268,6 +268,8 @@ def _refused(capsys, argv) -> str:
         ["search-pl", "--n", "3", "--checkpoint-every", "0"],
         ["decode", "--code", "{tmp}/list.json", "--word", "1,2"],  # not an object
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/partial.json"],  # no "n"
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/int_prefix.json"],
+        ["decode", "--code", "{tmp}/int_images.json", "--word", "1,2"],
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
@@ -278,6 +280,13 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "partial.json").write_text('{"version": 1}')
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "int_prefix.json").write_text(
+        '{"version": 1, "n": 3, "group_factors": [25], "prefix": 5, "next_pos": 0, "nodes": 0}'
+    )
+    (tmp_path / "int_images.json").write_text(
+        '{"version": 1, "group": [13], "images": 5, "e": 2, "period": 13,'
+        ' "covering_radius": 2, "classification": "PERFECT"}'
+    )
     _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
 
 

@@ -26,6 +26,7 @@ from leecodes.embeddings import (
     pi_number,
     pi_number_search,
     profile_to_json,
+    weight_counts,
 )
 from leecodes.errors import BudgetExceededError, InvariantError
 from leecodes.groups import AbelianGroup, cyclic, groups_of_order
@@ -75,6 +76,60 @@ def test_distance_profile_worked_example():
 def test_distance_profile_optimal_example():
     counts = distance_profile(PHI_23).counts
     assert counts[1] == 4 and counts[2] == 8 and counts[3] == 3
+
+
+def test_weight_counts_match_distance_profile():
+    # Every group of order <= 64 (the Z_2 wrap groups Z_2xZ_10 and Z_2xZ_16
+    # among them), seeded images, the zero tuple and the unit vectors.
+    rng = random.Random(43)
+    non_surjective = 0
+    for k in range(1, 65):
+        for G in groups_of_order(k):
+            units = _unit_images(G)
+            for n in (1, 2, 3):
+                cases = [(G.zero(),) * n] + [
+                    tuple(G.element(rng.randrange(k)) for _ in range(n)) for _ in range(4)
+                ]
+                if 1 <= len(units) <= n:
+                    cases.append(units + units[:1] * (n - len(units)))
+                for images in cases:
+                    phi = Homomorphism(G, images)
+                    counts = distance_profile(phi).counts
+                    assert weight_counts(phi) == counts, phi
+                    non_surjective += sum(counts) < k
+    assert non_surjective > 500
+
+
+def _unit_images(G):
+    """The images of the unit vectors of G's invariant factors."""
+    t = len(G.factors)
+    return tuple(tuple(int(i == j) for i in range(t)) for j in range(t))
+
+
+@pytest.mark.parametrize("k, guarded", [(2000, False), (3000, True), (10**4, True)])
+def test_weight_counts_long_diameter(k, guarded):
+    # n = 1, image 1: k/2 levels of two elements.  The bitsets finish Z_2000
+    # themselves; Z_3000 falls back to distance_profile mid-BFS and Z_10^4
+    # after the first level.
+    phi = Homomorphism.cyclic(k, (1,))
+    distance_profile.cache_clear()
+    counts = weight_counts(phi)
+    assert distance_profile.cache_info().misses == int(guarded)
+    assert counts == distance_profile(phi).counts == (1,) + (2,) * (k // 2 - 1) + (1,)
+
+
+def test_counting_callers_build_no_profile():
+    misses = distance_profile.cache_info().misses
+    for G in (cyclic(16), cyclic(61), AbelianGroup((2, 10)), AbelianGroup((5, 5))):
+        for n in (2, 3):
+            value, hom = pi_group_search(n, G)
+            assert is_optimal(hom) == (value == f_lower_bound(n, G.order))
+            for images in normalized_image_tuples(G, n)[::7]:
+                phi = Homomorphism(G, images)
+                if embedding_number(phi) != INFINITY:
+                    excess_decomposition(phi)
+                is_optimal(phi)
+    assert distance_profile.cache_info().misses == misses
 
 
 def test_embedding_number_examples():
@@ -288,6 +343,15 @@ def test_pi_group_examples():
     assert hom.images == ((2,), (3,))
     assert pi_group(3, AbelianGroup(())) == 0
     assert pi_group(2, cyclic(13)) == 20
+
+
+def test_pi_group_search_z400():
+    misses = distance_profile.cache_info().misses
+    value, hom = pi_group_search(2, cyclic(400))
+    assert distance_profile.cache_info().misses == misses
+    assert value == 3766 == f_lower_bound(2, 400)
+    prof = distance_profile(hom)
+    assert prof.surjective and prof.total() == value
 
 
 def test_pi_group_rank_obstruction():

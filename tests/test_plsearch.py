@@ -283,6 +283,17 @@ def test_corrupt_checkpoint_frontier_rejected(ckpt):
         backtrack_pl2(3, cyclic(25), shard, resume=ckpt)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("prefix", 5), ("prefix", [1.5]), ("n", "3"), ("nodes", True), ("shard", 5), ("shard_id", [1])],
+)
+def test_checkpoint_field_of_wrong_kind_rejected(field, value):
+    data = _ck25((1,), 5).to_json()
+    data[field] = value
+    with pytest.raises(ValueError, match=f"'{field}' has the wrong type"):
+        Checkpoint.from_json(data)
+
+
 def test_boundary_checkpoint_frontiers_accepted():
     # Frontiers at the edges of the allowed ranges resume normally.
     G = cyclic(25)

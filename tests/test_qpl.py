@@ -434,3 +434,8 @@ def test_code_json_rejects_corruption():
     del data["images"]
     with pytest.raises(ValueError, match="'images'"):
         code_from_json(data)
+    for field, value in (("images", 5), ("images", [5]), ("e", "2"), ("group", None)):
+        data = code_to_json(build_code(Homomorphism.cyclic(13, (2, 3)), 2))
+        data[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' has the wrong type"):
+            code_from_json(data)
