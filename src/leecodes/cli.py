@@ -3,8 +3,9 @@
 Every subcommand prints a human-readable summary by default and a
 versioned RunReport as JSON with ``--json``.  Long searches report
 progress on standard error only; standard output carries nothing but
-the report.  Exit codes: 0 success, 2 usage error (from argparse, or
-bad input refused with a ValueError), 3 budget refusal.
+the report.  Exit codes: 0 success, 2 usage error (from argparse, bad
+input refused with a ValueError, or a file that cannot be read or
+written, an OSError), 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -301,10 +302,13 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
         "wall_time_s": wall,
         "node_budget_estimate": budget,
     }
+    # A shard searched only the tuples whose least entry is in its range.
+    span = f"positions [{shard.start}, {shard.stop})" if shard else ""
+    scope = f" whose least entry is a candidate at {span}" if shard else ""
     if result.verdict == "NO_WITNESS":
         report.results["certificate"] = {
             "statement": (
-                f"no n-tuple over {G} is injective on the radius-2 sphere"
+                f"no n-tuple over {G}{scope} is injective on the radius-2 sphere"
             ),
             "n": n,
             "group": str(G),
@@ -319,8 +323,9 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
         report,
         args,
         [
-            f"{result.verdict} for n={n}, {G} "
-            f"({result.nodes_visited} nodes, {wall:.2f}s)"
+            f"{result.verdict} for n={n}, {G}"
+            + (f", least entry at {span}" if shard else "")
+            + f" ({result.nodes_visited} nodes, {wall:.2f}s)"
             + (f", witness {result.witness}" if result.witness else "")
         ],
     )
@@ -596,7 +601,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -212,7 +212,7 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
     G = phi.group
     layout = G.bits
     top = layout.top
-    offsets = [d * s for d, s in zip(G.factors, layout.strides)]
+    offsets = layout.offsets
     shifts = {top - layout.bit(img, m) for img in phi.images for m in (1, -1)}
     level_ns = (2 * len(offsets) + 2 * len(shifts) + 3) * (150 + top // 20)
     element_ns = 600 + 700 * phi.n

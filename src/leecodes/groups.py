@@ -35,8 +35,9 @@ class BitLayout(NamedTuple):
     S_t = 1 and S_j = 2 * d_{j+1} * S_{j+1}: each coordinate has room for
     twice its range, and bit order is element index order.  Sets live in
     ``window`` (every x_j < d_j).  A *tiled* set has a copy at each offset
-    sum e_j * d_j * S_j, e in {0, 1}^t (``tile`` is the sum of 2^offset),
-    and its translate by g is ``(tiled >> (top - bit(g))) & window`` with
+    sum e_j * d_j * S_j, e in {0, 1}^t, made by one shift-or per factor by
+    d_j * S_j (``offsets``), as the copies never overlap.  Its translate by
+    g is ``(tiled >> (top - bit(g))) & window`` with
     ``top = sum d_j * S_j``: for each element exactly one copy lands
     inside the window; every other copy leaves some coordinate outside
     [0, d_j), in the padding, above the top coordinate or below bit 0,
@@ -46,7 +47,7 @@ class BitLayout(NamedTuple):
     factors: Tuple[int, ...]
     strides: Tuple[int, ...]
     window: int
-    tile: int
+    offsets: Tuple[int, ...]
     top: int
 
     def bit(self, x: Sequence[int], m: int = 1) -> int:
@@ -138,14 +139,12 @@ class AbelianGroup:
             strides.append(stride)
             stride *= 2 * d
         strides.reverse()
-        window = tile = 1
-        top = 0
+        window, offsets = 1, []
         for d, s in zip(self.factors, strides):
             # Copies of the lower coordinates' pattern at x_j = 0..d-1.
             window = window * ((1 << d * s) - 1) // ((1 << s) - 1)
-            tile *= 1 + (1 << d * s)
-            top += d * s
-        return BitLayout(self.factors, tuple(strides), window, tile, top)
+            offsets.append(d * s)
+        return BitLayout(self.factors, tuple(strides), window, tuple(offsets), sum(offsets))
 
     @cached_property
     def _indices(self) -> List[int]:

@@ -29,10 +29,14 @@ candidate ranges and checkpoint/resumable: the current prefix plus the
 next candidate position fully encode the DFS state, so resuming only
 replays the prefix through the same acceptance test.
 
-``_BitTables`` serves both searches here: ``backtrack_pl2`` and
-``ball_injective_tuples``, the prefix-pruned walk that feeds
+One private generator, ``_walk``, is the only code that builds and steps
+this state: candidate choice, the acceptance step, push and backtrack,
+the replay of a resume prefix, and the witnesses.  Both searches run it.
+``backtrack_pl2`` takes its first witness, suspends it at a node limit
+or reports NO_WITNESS; ``ball_injective_tuples`` feeds
 ``qpl.search_optimal_embedding`` with the tuples injective on the
-radius-1 or radius-2 ball.
+radius-1 or radius-2 ball.  The radius is table data of ``_BitTables``:
+at radius 1 a candidate adds only {+-c}, and P stays empty.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvariantError, check_json_fields
+from .errors import check_json_fields
 from .groups import AbelianGroup, GroupElement
 
 CHECKPOINT_VERSION = 1
@@ -91,16 +95,8 @@ class Checkpoint:
     nodes: int
 
     def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "n": self.n,
-            "group_factors": list(self.group_factors),
-            "shard": list(self.shard) if self.shard else None,
-            "shard_id": self.shard_id,
-            "prefix": list(self.prefix),
-            "next_pos": self.next_pos,
-            "nodes": self.nodes,
-        }
+        """The fields in declaration order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Checkpoint":
@@ -164,16 +160,22 @@ def node_budget_estimate(n: int) -> int:
 
 
 class _BitTables:
-    """Candidate tables of one group for the search kernel, on the group's
-    ``BitLayout`` (``G.bits``): each set of elements is an int, and the
-    translate of a tiled set by g is ``(tiled >> (top - bit(g))) & window``.
-    All tables are keyed by candidate and stay O(|G|).
+    """Candidate tables of one group for the search walk at radius 1 or 2,
+    on the group's ``BitLayout`` (``G.bits``): each set of elements is an
+    int, and the translate of a tiled set by g is
+    ``(tiled >> (top - bit(g))) & window``.  All tables are keyed by
+    candidate and stay O(|G|).
+
+    The radius is table data, not a branch of the walk.  At radius 2 the
+    kernel entry of c is ({+-c, +-2c}, the shifts that translate a tiled
+    set by +c and by -c, the tiled {+-c}), and an accepted c adds 4 * depth
+    new elements.  At radius 1 it is ({+-c}, 0, 0, 0): the tiled set of
+    chosen elements stays 0, and an accepted c adds 2 new elements.
     """
 
-    def __init__(self, G: AbelianGroup):
+    def __init__(self, G: AbelianGroup, radius: int = 2):
         layout = G.bits
         self.window = layout.window
-        self.tile = layout.tile
         top = layout.top
         bit = layout.bit
         # Nonzero representatives of {g, -g}, ascending in element order.
@@ -181,33 +183,123 @@ class _BitTables:
         # Bit of each candidate position, then one past every element.
         self.bits: List[int] = []
         self.pos_of = {}
-        # Per candidate bit b of c: ({+-c, +-2c}, the shifts that translate
-        # a tiled set by +c and by -c, {+-c}).
+        self.element = {}
         self.kernel = {}
         for pos, i in enumerate(self.reps):
             x = G.element(i)
             b, nb = bit(x, 1), bit(x, -1)
             self.bits.append(b)
             self.pos_of[b] = pos
+            self.element[b] = x
             pm = 1 << b | 1 << nb
-            self.kernel[b] = (pm | 1 << bit(x, 2) | 1 << bit(x, -2), top - b, top - nb, pm)
+            if radius == 1:
+                self.kernel[b] = (pm, 0, 0, 0)
+                continue
+            tiled = pm
+            for off in layout.offsets:
+                tiled |= tiled << off
+            self.kernel[b] = (pm | 1 << bit(x, 2) | 1 << bit(x, -2), top - b, top - nb, tiled)
         self.bits.append(self.window.bit_length())
+        self.radius = radius
 
     def mask(self, lo: int, hi: int) -> int:
         """The bits of the candidates at positions [lo, hi)."""
         return sum(1 << b for b in self.bits[lo:hi])
 
 
-def ball_injective_tuples(
-    n: int, G: AbelianGroup, radius: int
-) -> Iterator[Tuple[GroupElement, ...]]:
+# Called at the first node whose count reaches the walk's next event, with
+# (nodes, prefix positions, next position); returns the next event, or None
+# to stop the walk there.
+EventFn = Callable[[int, Tuple[int, ...], int], Optional[float]]
+
+
+def _walk(
+    tables: _BitTables, n: int, lo: int, hi: int, prefix: Sequence[int] = (),
+    next_pos: int = 0, nodes: int = 0, next_event: float = math.inf,
+    on_event: Optional[EventFn] = None,
+) -> Iterator[Tuple[int, Tuple[GroupElement, ...]]]:
+    """The depth-first walk of both searches: strictly increasing n-tuples
+    of candidates whose first entry is at a position in [lo, hi), in
+    lexicographic order, pruned by prefix.
+
+    Yields (nodes, tuple) for every accepted n-tuple and returns the node
+    count when the walk is exhausted or ``on_event`` stops it.  A node is
+    one acceptance step.  ``prefix`` and ``next_pos`` resume a frontier:
+    the prefix is replayed through the acceptance step, uncounted, and the
+    walk goes on at candidate position ``next_pos`` below it.
+    """
+    bits = tables.bits
+    pos_of = tables.pos_of
+    element = tables.element
+    kernel = tables.kernel
+    window = tables.window
+    reps_mask = tables.mask(0, len(tables.reps))
+    # New elements an accepted candidate adds, per depth.
+    sizes = [4 * d if tables.radius == 2 else 2 for d in range(n + 1)]
+    # On entry to each depth: the marked elements (0 is bit 0), the tiled
+    # +-chosen elements and the open candidate bits; and the bit chosen there.
+    mk, P, free = 1, 0, tables.mask(lo, hi)
+    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
+    chosen = [0] * (n + 1)
+    depth, size = 1, sizes[1]
+    for pos in prefix:  # the acceptance step and push of the loop below
+        b = bits[pos]
+        quad, up, down, tiled = kernel[b]
+        new = quad | ((P >> up | P >> down) & window)
+        if new & mk or new.bit_count() != size:
+            raise ValueError("corrupt checkpoint: stored prefix is deficient")
+        chosen[depth] = b
+        depth += 1
+        size = sizes[depth]
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | tiled
+        free = avail[depth] = reps_mask & ~mk
+
+    r = bits[next_pos]  # lowest candidate bit still open at this depth
+    while True:
+        rest = free >> r
+        if not rest:
+            depth -= 1
+            if depth == 0:
+                return nodes
+            r = chosen[depth] + 1
+            mk, P, free = marked[depth], plus[depth], avail[depth]
+            size = sizes[depth]
+            continue
+        b = r + (rest & -rest).bit_length() - 1
+        if nodes >= next_event:
+            next_event = on_event(nodes, tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
+            if next_event is None:
+                return nodes
+        nodes += 1
+        r = b + 1
+        # At radius 2, {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct
+        # new elements unless two coincide or one is marked, and either is
+        # a collision on the ball.
+        quad, up, down, tiled = kernel[b]
+        new = quad | ((P >> up | P >> down) & window)
+        if new & mk or new.bit_count() != size:
+            continue
+        chosen[depth] = b
+        if depth == n:
+            yield nodes, tuple(element[c] for c in chosen[1:])
+            continue
+        depth += 1
+        size = sizes[depth]
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | tiled
+        free = avail[depth] = reps_mask & ~mk
+
+
+def ball_injective_tuples(n: int, G: AbelianGroup,
+                          radius: int) -> Iterator[Tuple[GroupElement, ...]]:
     """Every n-tuple of nonzero negation-class representatives of G,
     strictly increasing in element order, whose homomorphism Z^n -> G is
     one-to-one on the radius-``radius`` ball (1 or 2), in lexicographic
     order.
 
-    Depth-first over candidate positions with the acceptance step of
-    ``backtrack_pl2``.  At radius 2 the new elements of candidate c are
+    The search walk of ``backtrack_pl2`` on tables of the given radius.
+    At radius 2 the new elements of candidate c are
     {+-c, +-2c} | (P + c) | (P - c); at radius 1 they are {+-c}.  Either
     way a candidate is accepted iff they miss the marked set and are all
     distinct.  The radius-r ball of Z^j sits inside that of Z^n, so a
@@ -215,83 +307,24 @@ def ball_injective_tuples(
     """
     if radius not in (1, 2):
         raise ValueError(f"radius must be 1 or 2, got {radius}")
-    tables = _BitTables(G)
-    pos_of = tables.pos_of
-    kernel = tables.kernel
-    window = tables.window
-    tile = tables.tile
-    reps_mask = tables.mask(0, len(tables.reps))
-    # Per depth, as in backtrack_pl2: marked, tiled +-chosen, open candidates.
-    mk, P, free = 1, 0, reps_mask
-    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
-    chosen = [0] * (n + 1)
-    depth = 1
-    r = 0
-    while True:
-        rest = free >> r
-        if not rest:
-            depth -= 1
-            if depth == 0:
-                return
-            r = chosen[depth] + 1
-            mk, P, free = marked[depth], plus[depth], avail[depth]
-            continue
-        b = r + (rest & -rest).bit_length() - 1
-        r = b + 1
-        quad, up, down, pm = kernel[b]
-        if radius == 2:
-            new, size = quad | ((P >> up | P >> down) & window), 4 * depth
-        else:
-            new, size = pm, 2
-        if new & mk or new.bit_count() != size:
-            continue
-        chosen[depth] = b
-        if depth == n:
-            yield tuple(G.element(tables.reps[pos_of[c]]) for c in chosen[1:])
-            continue
-        depth += 1
-        mk = marked[depth] = mk | new
-        P = plus[depth] = P | pm * tile
-        free = avail[depth] = reps_mask & ~mk
-
-
-def first_level_count(G: AbelianGroup) -> int:
-    """Number of first-level candidates (negation classes of G - {0})."""
-    return len(G.negation_reps()) - 1
+    tables = _BitTables(G, radius)
+    return (tup for _, tup in _walk(tables, n, 0, len(tables.reps)))
 
 
 def plan_shards_for_group(G: AbelianGroup, parts: int) -> List[Shard]:
-    """Split the first-level candidates of G into contiguous ranges.
+    """Split the first-level candidates of G (its negation classes other
+    than {0}) into contiguous ranges.
 
     The union of per-shard verdicts equals the unsharded verdict: shards
     partition the depth-1 choices and subtrees are independent.
     """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    total = first_level_count(G)
+    total = len(G.negation_reps()) - 1
     base, extra = divmod(total, parts)
-    shards = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        shards.append(Shard(i, start, start + size))
-        start += size
-    return shards
-
-
-def validate_shards(shards: Sequence[Shard], G: AbelianGroup) -> None:
-    """Reject shard lists that overlap or fail to cover the first level."""
-    total = first_level_count(G)
-    ordered = sorted(shards, key=lambda s: s.start)
-    pos = 0
-    for s in ordered:
-        if s.start != pos or s.stop < s.start:
-            raise ValueError(f"shard ranges overlap or leave gaps at {s}")
-        pos = s.stop
-    if pos != total:
-        raise ValueError(
-            f"shard ranges cover {pos} first-level candidates, expected {total}"
-        )
+    # The first ``extra`` shards take one candidate more than the others.
+    bounds = [i * base + min(i, extra) for i in range(parts + 1)]
+    return [Shard(i, bounds[i], bounds[i + 1]) for i in range(parts)]
 
 
 def backtrack_pl2(
@@ -327,109 +360,51 @@ def backtrack_pl2(
         )
 
     tables = _BitTables(G)
-    bits = tables.bits
-    pos_of = tables.pos_of
-    kernel = tables.kernel
-    window = tables.window
-    tile = tables.tile
     total = len(tables.reps)
+    lo, hi = (shard.start, shard.stop) if shard else (0, total)
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"shard {shard} out of range (0..{total})")
+    shard_tuple = (lo, hi) if shard else None
+    shard_id = shard.index if shard else None
 
-    if shard is not None:
-        if not 0 <= shard.start <= shard.stop <= total:
-            raise ValueError(f"shard {shard} out of range (0..{total})")
-        lo, hi = shard.start, shard.stop
-        shard_tuple: Optional[Tuple[int, int]] = (lo, hi)
-        shard_id: Optional[int] = shard.index
-    else:
-        lo, hi = 0, total
-        shard_tuple = None
-        shard_id = None
-
-    reps_mask = tables.mask(0, total)
-    # On entry to each depth: the marked elements (0 is bit 0), the tiled
-    # +-chosen elements and the open candidate bits; and the bit chosen there.
-    mk, P, free = 1, 0, tables.mask(lo, hi)
-    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
-    chosen = [0] * (n + 1)
-
-    depth = 1
-    nodes = 0
-    next_pos = lo
-
+    prefix: Sequence[int] = ()
+    next_pos, nodes = lo, 0
     if resume is not None:
-        if (
-            resume.n != n
-            or resume.group_factors != G.factors
-            or resume.shard != shard_tuple
-        ):
+        if (resume.n, resume.group_factors, resume.shard) != (n, G.factors, shard_tuple):
             raise ValueError("checkpoint does not match the requested search")
         _check_frontier(resume.prefix, resume.next_pos, n, lo, hi, total)
-        nodes = resume.nodes
-        next_pos = resume.next_pos
-        # The acceptance step of the search loop below, on the stored prefix.
-        for pos in resume.prefix:
-            b = bits[pos]
-            quad, up, down, pm = kernel[b]
-            new = quad | ((P >> up | P >> down) & window)
-            if new & mk or new.bit_count() != 4 * depth:
-                raise ValueError("corrupt checkpoint: stored prefix is deficient")
-            chosen[depth] = b
-            depth += 1
-            mk = marked[depth] = mk | new
-            P = plus[depth] = P | pm * tile
-            free = avail[depth] = reps_mask & ~mk
+        prefix, next_pos, nodes = resume.prefix, resume.next_pos, resume.nodes
 
-    r = bits[next_pos]  # lowest candidate bit still open at this depth
     stop_at = math.inf if node_limit is None else nodes + node_limit
     next_checkpoint = nodes + checkpoint_every if checkpoint_path else math.inf
     next_progress = nodes + PROGRESS_EVERY if progress else math.inf
-    next_event = min(stop_at, next_checkpoint, next_progress)
+    suspended: Optional[Checkpoint] = None
 
-    while True:
-        rest = free >> r
-        if not rest:
-            depth -= 1
-            if depth == 0:
-                outcome = SearchOutcome("NO_WITNESS", None, nodes, shard_id)
-                break
-            r = chosen[depth] + 1
-            mk, P, free = marked[depth], plus[depth], avail[depth]
-            continue
-        b = r + (rest & -rest).bit_length() - 1
+    def on_event(nodes: int, prefix: Tuple[int, ...], pos: int) -> Optional[float]:
+        nonlocal next_checkpoint, next_progress, suspended
+        if nodes >= stop_at or nodes >= next_checkpoint:
+            ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
+                              prefix, pos, nodes)
+            if checkpoint_path:
+                ckpt.save(checkpoint_path)
+            if nodes >= stop_at:
+                suspended = ckpt
+                return None
+            next_checkpoint = nodes + checkpoint_every
+        if nodes >= next_progress:
+            progress(nodes)
+            next_progress = nodes + PROGRESS_EVERY
+        return min(stop_at, next_checkpoint, next_progress)
 
-        if nodes >= next_event:
-            if nodes >= stop_at or nodes >= next_checkpoint:
-                prefix = tuple(pos_of[c] for c in chosen[1:depth])
-                ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
-                                  prefix, pos_of[b], nodes)
-                if checkpoint_path:
-                    ckpt.save(checkpoint_path)
-                if nodes >= stop_at:
-                    return ckpt
-                next_checkpoint = nodes + checkpoint_every
-            if nodes >= next_progress:
-                progress(nodes)
-                next_progress = nodes + PROGRESS_EVERY
-            next_event = min(stop_at, next_checkpoint, next_progress)
-
-        nodes += 1
-        r = b + 1
-        # {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct new elements
-        # unless two coincide or one is marked, and either is a deficiency.
-        quad, up, down, pm = kernel[b]
-        new = quad | ((P >> up | P >> down) & window)
-        if new & mk or new.bit_count() != 4 * depth:
-            continue
-        chosen[depth] = b
-        if depth == n:
-            witness = tuple(G.element(tables.reps[pos_of[c]]) for c in chosen[1:])
-            outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
-            break
-        depth += 1
-        mk = marked[depth] = mk | new
-        P = plus[depth] = P | pm * tile
-        free = avail[depth] = reps_mask & ~mk
-
+    walk = _walk(tables, n, lo, hi, prefix, next_pos, nodes,
+                 min(stop_at, next_checkpoint, next_progress), on_event)
+    try:
+        nodes, witness = next(walk)
+        outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
+    except StopIteration as end:
+        if suspended is not None:
+            return suspended
+        outcome = SearchOutcome("NO_WITNESS", None, end.value, shard_id)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return outcome
@@ -445,33 +420,21 @@ def _check_frontier(
     and so give a false certificate.
     """
     if len(prefix) >= n:
-        raise ValueError(
-            f"corrupt checkpoint: prefix of length {len(prefix)} for n = {n}"
-        )
+        raise ValueError(f"corrupt checkpoint: prefix of length {len(prefix)} for n = {n}")
     if any(not 0 <= pos < total for pos in prefix):
-        raise ValueError(
-            f"corrupt checkpoint: prefix {tuple(prefix)} has a position "
-            f"outside [0, {total})"
-        )
+        raise ValueError(f"corrupt checkpoint: prefix {tuple(prefix)} has a position "
+                         f"outside [0, {total})")
     if any(a >= b for a, b in zip(prefix, prefix[1:])):
-        raise ValueError(
-            f"corrupt checkpoint: prefix {tuple(prefix)} is not strictly increasing"
-        )
+        raise ValueError(f"corrupt checkpoint: prefix {tuple(prefix)} is not strictly increasing")
     if prefix:
         if not lo <= prefix[0] < hi:
-            raise ValueError(
-                f"corrupt checkpoint: first position {prefix[0]} outside the "
-                f"shard range [{lo}, {hi})"
-            )
+            raise ValueError(f"corrupt checkpoint: first position {prefix[0]} outside the "
+                             f"shard range [{lo}, {hi})")
         if not prefix[-1] < next_pos <= total:
-            raise ValueError(
-                f"corrupt checkpoint: next_pos {next_pos} outside "
-                f"({prefix[-1]}, {total}]"
-            )
+            raise ValueError(f"corrupt checkpoint: next_pos {next_pos} outside "
+                             f"({prefix[-1]}, {total}]")
     elif not lo <= next_pos <= hi:
-        raise ValueError(
-            f"corrupt checkpoint: next_pos {next_pos} outside [{lo}, {hi}]"
-        )
+        raise ValueError(f"corrupt checkpoint: next_pos {next_pos} outside [{lo}, {hi}]")
 
 
 def merge_outcomes(outcomes: Sequence[SearchOutcome]) -> SearchOutcome:
@@ -485,23 +448,3 @@ def merge_outcomes(outcomes: Sequence[SearchOutcome]) -> SearchOutcome:
         return SearchOutcome("WITNESS", best.witness, nodes, None)
     return SearchOutcome("NO_WITNESS", None, nodes, None)
 
-
-def run_sharded(
-    n: int,
-    G: AbelianGroup,
-    parts: int,
-    *,
-    progress: Optional[ProgressFn] = None,
-) -> SearchOutcome:
-    """Plan, run and merge a sharded search in-process."""
-    shards = plan_shards_for_group(G, parts)
-    validate_shards(shards, G)
-    outcomes = []
-    for s in shards:
-        result = backtrack_pl2(n, G, s, progress=progress)
-        if not isinstance(result, SearchOutcome):
-            raise InvariantError(
-                f"shard {s.index} returned {type(result).__name__}, not a verdict"
-            )
-        outcomes.append(result)
-    return merge_outcomes(outcomes)

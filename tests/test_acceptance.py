@@ -20,9 +20,9 @@ from leecodes.embeddings import (
     is_optimal,
     pi_number_search,
 )
-from leecodes.groups import cyclic, groups_of_order
+from leecodes.groups import AbelianGroup, cyclic, groups_of_order
 from leecodes.planar import build_planar_embedding
-from leecodes.plsearch import backtrack_pl2, run_sharded
+from leecodes.plsearch import backtrack_pl2, merge_outcomes, plan_shards_for_group
 from leecodes.qpl import (
     CodeClass,
     build_code,
@@ -242,6 +242,16 @@ def _image_size(phi: Homomorphism) -> int:
     return len(seen)
 
 
+# (n, group factors) of the radius-2 oracle cases of test_plsearch.py:
+# witnesses, non-cyclic groups and torsion in every factor.
+SHARD_CASES = [
+    (2, (13,)), (3, (25,)), (2, (9,)), (3, (5, 5)), (2, (2, 6)), (3, (3, 12)),
+    (3, (2, 2, 6)), (2, (2, 2, 2, 4)), (4, (7, 7)), (2, (2, 10)), (3, (2, 16)),
+]
+
+
+# Most shard cases are not of sphere size, which backtrack_pl2 warns about.
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_8_property_suites():
     violations = 0
     with stopwatch() as w:
@@ -276,16 +286,20 @@ def test_criterion_8_property_suites():
             if distance_profile(phi).dist != oracle:
                 violations += 1
 
-        # Shard-count invariance of search verdicts.
-        reference = backtrack_pl2(3, cyclic(25))
-        for parts in (2, 3, 5, 12):
-            if run_sharded(3, cyclic(25), parts).verdict != reference.verdict:
-                violations += 1
-        witness = backtrack_pl2(2, cyclic(13)).witness
-        for parts in (2, 6):
-            out = run_sharded(2, cyclic(13), parts)
-            if out.witness != witness:
-                violations += 1
+        # Shard-count invariance of search verdicts: plan, run and merge,
+        # as search-pl does, against the full search over each group.
+        for n, factors in SHARD_CASES:
+            G = AbelianGroup(factors)
+            full = backtrack_pl2(n, G)
+            total = plan_shards_for_group(G, 1)[0].stop
+            for parts in (2, 3, 5, total):
+                out = merge_outcomes(
+                    [backtrack_pl2(n, G, s) for s in plan_shards_for_group(G, parts)]
+                )
+                if (out.verdict, out.witness) != (full.verdict, full.witness):
+                    violations += 1
+                if full.verdict == "NO_WITNESS" and out.nodes_visited != full.nodes_visited:
+                    violations += 1
 
         # Decode idempotence and translation equivariance.
         code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)

@@ -115,14 +115,27 @@ def test_search_pl_certificate(capsys):
 
 def test_search_pl_sharded_matches(capsys):
     whole = run_json(capsys, "search-pl", "--n", "3")
-    shard_verdicts = []
-    for i in range(3):
-        data = run_json(
-            capsys, "search-pl", "--n", "3", "--shards", "3", "--shard-index", str(i)
-        )
-        shard_verdicts.append(data["results"]["verdict"])
-    assert all(v == "NO_WITNESS" for v in shard_verdicts)
     assert whole["results"]["verdict"] == "NO_WITNESS"
+    assert whole["results"]["certificate"]["statement"] == (
+        "no n-tuple over Z_25 is injective on the radius-2 sphere"
+    )
+    human = run_human(capsys, "search-pl", "--n", "3")
+    assert human.startswith("NO_WITNESS for n=3, Z_25 (153 nodes, ")
+    nodes = 0
+    for i, span in enumerate(["[0, 4)", "[4, 8)", "[8, 12)"]):
+        argv = ["search-pl", "--n", "3", "--shards", "3", "--shard-index", str(i)]
+        data = run_json(capsys, *argv)
+        assert data["results"]["verdict"] == "NO_WITNESS"
+        # The certificate and the human line claim only the shard's range.
+        assert data["results"]["certificate"]["statement"] == (
+            f"no n-tuple over Z_25 whose least entry is a candidate at positions {span} "
+            "is injective on the radius-2 sphere"
+        )
+        assert run_human(capsys, *argv).startswith(
+            f"NO_WITNESS for n=3, Z_25, least entry at positions {span} ("
+        )
+        nodes += data["results"]["nodes"]
+    assert nodes == whole["results"]["nodes"]
 
 
 def test_search_pl_checkpoint_resume(tmp_path, capsys):
@@ -270,6 +283,13 @@ def _refused(capsys, argv) -> str:
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/partial.json"],  # no "n"
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/int_prefix.json"],
         ["decode", "--code", "{tmp}/int_images.json", "--word", "1,2"],
+        # Files that cannot be read or written.
+        ["decode", "--code", "{tmp}/nope.json", "--word", "1,2"],
+        ["verify", "--appendix", "{tmp}/nope.csv"],
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}"],  # a directory
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/no/dir/ck", "--checkpoint-every", "1"],
+        ["render", "--k", "5", "--images", "1,2", "--extent", "1",
+         "--out", "{tmp}/no/dir/x.svg"],
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):

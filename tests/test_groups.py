@@ -12,7 +12,7 @@ from leecodes.groups import (
     groups_of_order,
     is_square_free,
 )
-from leecodes.plsearch import first_level_count
+from leecodes.plsearch import plan_shards_for_group
 
 
 def _partition_count(a: int) -> int:
@@ -142,7 +142,7 @@ def test_negation_reps_match_min_of_each_pair():
         for G in groups_of_order(k):
             oracle = sorted({min(g, G.neg(g)) for g in G.elements()})
             assert G.negation_reps() == [G.index(g) for g in oracle]
-            assert first_level_count(G) == len(G.negation_reps()) - 1
+            assert plan_shards_for_group(G, 1)[0].stop == len(oracle) - 1
     assert cyclic(12).negation_reps() == [0, 1, 2, 3, 4, 5, 6]
     assert AbelianGroup((2, 2)).negation_reps() == [0, 1, 2, 3]
 

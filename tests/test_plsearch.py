@@ -6,9 +6,7 @@ import warnings
 
 import pytest
 
-from leecodes import plsearch
 from leecodes.embeddings import Homomorphism, is_injective_on_sphere, is_optimal
-from leecodes.errors import InvariantError
 from leecodes.groups import AbelianGroup, cyclic, groups_of_order
 from leecodes.plsearch import (
     Checkpoint,
@@ -16,13 +14,10 @@ from leecodes.plsearch import (
     Shard,
     backtrack_pl2,
     ball_injective_tuples,
-    first_level_count,
     merge_outcomes,
     node_budget_estimate,
     plan_shards_for_group,
     quad_set,
-    run_sharded,
-    validate_shards,
 )
 from leecodes.spheres import sphere_size
 
@@ -182,29 +177,31 @@ def test_shard_plan_examples():
 
 
 def test_first_level_count():
-    assert first_level_count(cyclic(13)) == 6
-    assert first_level_count(cyclic(12)) == 6  # 1..5 paired, 6 self-negative
-    assert first_level_count(AbelianGroup((5, 5))) == 12
+    # The one-shard plan covers every first-level candidate.
+    assert plan_shards_for_group(cyclic(13), 1)[0].stop == 6
+    assert plan_shards_for_group(cyclic(12), 1)[0].stop == 6  # 1..5 paired, 6 self-negative
+    assert plan_shards_for_group(AbelianGroup((5, 5)), 1)[0].stop == 12
 
 
-def test_validate_shards_rejects_bad_plans():
-    G = cyclic(25)
-    with pytest.raises(ValueError):
-        validate_shards([Shard(0, 0, 5), Shard(1, 4, 12)], G)  # overlap
-    with pytest.raises(ValueError):
-        validate_shards([Shard(0, 0, 5), Shard(1, 6, 12)], G)  # gap
-    with pytest.raises(ValueError):
-        validate_shards([Shard(0, 0, 5)], G)  # not covering
+def _sharded(n: int, G: AbelianGroup, parts: int) -> SearchOutcome:
+    """Plan, run and merge a sharded search, as search-pl does shard by shard."""
+    outcomes = [backtrack_pl2(n, G, s) for s in plan_shards_for_group(G, parts)]
+    assert all(isinstance(o, SearchOutcome) for o in outcomes)
+    return merge_outcomes(outcomes)
 
 
 def test_shard_determinism():
-    base = backtrack_pl2(3, cyclic(25))
-    for parts in (1, 2, 3, 7, 12):
-        assert run_sharded(3, cyclic(25), parts).verdict == base.verdict
-    witness = backtrack_pl2(2, Z13).witness
-    for parts in (1, 2, 5, 6):
-        out = run_sharded(2, Z13, parts)
-        assert out.verdict == "WITNESS" and out.witness == witness
+    # Any plan, empty shards included, merges to the full search's verdict
+    # and witness; a NO_WITNESS plan visits exactly the full search's nodes.
+    for n, factors, nodes in ORACLE_CASES:
+        G = AbelianGroup(factors)
+        full = backtrack_pl2(n, G)
+        total = plan_shards_for_group(G, 1)[0].stop
+        for parts in sorted({1, 2, 3, 5, total, total + 2}):
+            out = _sharded(n, G, parts)
+            assert (out.verdict, out.witness) == (full.verdict, full.witness), (factors, parts)
+            if full.verdict == "NO_WITNESS":
+                assert out.nodes_visited == full.nodes_visited == nodes, (factors, parts)
 
 
 def test_merge_prefers_lowest_shard_witness():
@@ -231,6 +228,34 @@ def test_checkpoint_resume_identical_verdict():
         assert hops > 3
         assert res.verdict == uninterrupted.verdict == "NO_WITNESS"
         assert res.nodes_visited == uninterrupted.nodes_visited
+
+
+def _witness_shard(G: AbelianGroup, witness) -> Shard:
+    """The shard of a three-part plan that holds the witness's first entry."""
+    pos = G.negation_reps()[1:].index(G.index(witness[0]))
+    return next(s for s in plan_shards_for_group(G, 3) if s.start <= pos < s.stop)
+
+
+@pytest.mark.parametrize("n, factors", [(2, (13,)), (2, (2, 10)), (3, (2, 16))])
+def test_witness_survives_resume(n, factors):
+    # One node per call, resumed to the end: the chain must return the
+    # uninterrupted run's witness after the same number of nodes.
+    G = AbelianGroup(factors)
+    witness = backtrack_pl2(n, G).witness
+    for shard in (None, _witness_shard(G, witness)):
+        uninterrupted = backtrack_pl2(n, G, shard)
+        assert (uninterrupted.verdict, uninterrupted.witness) == ("WITNESS", witness)
+        state, hops = None, 0
+        while True:
+            res = backtrack_pl2(n, G, shard, node_limit=1, resume=state)
+            if isinstance(res, SearchOutcome):
+                break
+            assert res.nodes == hops + 1
+            state, hops = res, hops + 1
+        assert hops == uninterrupted.nodes_visited - 1
+        assert (res.verdict, res.witness) == ("WITNESS", witness)
+        assert res.nodes_visited == uninterrupted.nodes_visited
+        assert res.shard_id == uninterrupted.shard_id
 
 
 def test_checkpoint_file_round_trip(tmp_path):
@@ -303,13 +328,6 @@ def test_boundary_checkpoint_frontiers_accepted():
     assert backtrack_pl2(3, G, resume=_ck25((1,), 12)).verdict == "NO_WITNESS"
     out = backtrack_pl2(3, G, Shard(1, 4, 8), resume=_ck25((), 8, (4, 8)))
     assert out.nodes_visited == 0
-
-
-def test_run_sharded_refuses_suspended_shard(monkeypatch):
-    suspended = backtrack_pl2(3, cyclic(25), node_limit=5)
-    monkeypatch.setattr(plsearch, "backtrack_pl2", lambda *a, **k: suspended)
-    with pytest.raises(InvariantError):
-        run_sharded(3, cyclic(25), 2)
 
 
 def test_shard_out_of_range_rejected():
