@@ -1,11 +1,15 @@
 """Command-line frontend.
 
-Every subcommand prints a human-readable summary by default and a
-versioned RunReport as JSON with ``--json``.  Long searches report
-progress on standard error only; standard output carries nothing but
-the report.  Exit codes: 0 success, 2 usage error (from argparse, bad
-input refused with a ValueError, or a file that cannot be read or
-written, an OSError), 3 budget refusal.
+Every subcommand prints a human-readable summary by default and, with
+``--json``, a versioned run report: a JSON object with the keys
+``report_version``, ``version``, ``subcommand``, ``parameters``,
+``results``, ``timing_s`` and ``input_digests``, in that order.
+``cli_dispatch`` builds, times and prints the report; each ``_cmd_*``
+fills in its parameters, results and input digests and returns its
+human lines.  Long searches report progress on standard error only;
+standard output carries nothing but the report.  Exit codes: 0 success,
+2 usage error (from argparse, bad input refused with a ValueError, or a
+file that cannot be read or written, an OSError), 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .embeddings import (
+    DEFAULT_HOM_BUDGET,
     INFINITY,
     Homomorphism,
     distance_profile,
@@ -34,12 +38,14 @@ from .errors import BudgetExceededError
 from .groups import AbelianGroup, cyclic, groups_of_order
 from .planar import build_planar_embedding
 from .plsearch import (
+    DEFAULT_CHECKPOINT_EVERY,
     Checkpoint,
     backtrack_pl2,
     node_budget_estimate,
     plan_shards_for_group,
 )
 from .qpl import (
+    DEFAULT_SEARCH_BUDGET,
     bundled_table_path,
     code_from_json,
     decode,
@@ -48,8 +54,9 @@ from .qpl import (
     verify_appendix,
 )
 from .render import render_grid
-from .spheres import enumerate_shell, f_lower_bound, shell_size, sphere_size
+from .spheres import enumerate_shell, f_lower_bound, lee_distance, shell_size, sphere_size
 from .volumes import (
+    DEFAULT_SCAN_BOUND,
     OCTAHEDRON_PACKING_EFFICIENCY,
     exclusion_margin,
     kn_bound_scan,
@@ -63,57 +70,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunReport:
-    """Machine-readable record of one CLI invocation."""
-
-    subcommand: str
-    parameters: Dict[str, object]
-    results: Dict[str, object] = field(default_factory=dict)
-    timing_s: float = 0.0
-    version: str = __version__
-    report_version: int = REPORT_VERSION
-    input_digests: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "report_version": self.report_version,
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "results": self.results,
-            "timing_s": self.timing_s,
-            "input_digests": self.input_digests,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(
-            subcommand=data["subcommand"],
-            parameters=data["parameters"],
-            results=data["results"],
-            timing_s=data["timing_s"],
-            version=data["version"],
-            report_version=data["report_version"],
-            input_digests=data["input_digests"],
-        )
-
-
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _emit(report: RunReport, args: argparse.Namespace, human_lines: List[str]) -> None:
-    report.timing_s = time.perf_counter() - getattr(args, "_t0", time.perf_counter())
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for line in human_lines:
-            print(line)
 
 
 def _parse_images(text: str) -> List[int]:
@@ -145,25 +107,25 @@ def _pi_value(value) -> object:
     return "infinity" if value == INFINITY else value
 
 
-def _cmd_sphere(args: argparse.Namespace) -> int:
-    report = RunReport("sphere", {"n": args.n, "r": args.r})
+def _cmd_sphere(args: argparse.Namespace, report: dict) -> List[str]:
+    report["parameters"] = {"n": args.n, "r": args.r}
     size = sphere_size(args.n, args.r)
     shell = shell_size(args.n, args.r)
-    report.results = {"sphere_size": size, "shell_size": shell}
+    results = report["results"] = {"sphere_size": size, "shell_size": shell}
     lines = [f"|S_{args.n},{args.r}| = {size}", f"shell at distance {args.r}: {shell}"]
     if args.list_shell:
         words = enumerate_shell(args.n, args.r)
-        report.results["shell_words"] = [list(w) for w in words]
+        results["shell_words"] = [list(w) for w in words]
         lines.append(f"words: {words}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    return lines
 
 
-def _cmd_pi(args: argparse.Namespace) -> int:
-    params = {"n": args.n, "k": args.k, "group": args.group, "images": args.images}
-    report = RunReport("pi", params)
+def _cmd_pi(args: argparse.Namespace, report: dict) -> List[str]:
+    report["parameters"] = {"n": args.n, "k": args.k, "group": args.group, "images": args.images}
     if args.k is None and not args.group:
         raise ValueError("pi needs --k or --group")
+    if args.profile and args.images is None:
+        raise ValueError("--profile requires --images")
     G = _named_group(args.group, args.k) if args.group else cyclic(args.k)
     if args.images is not None:
         flat = args.images
@@ -179,36 +141,28 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         if phi.n != args.n:
             raise ValueError(f"--images gives {phi.n} images, but --n is {args.n}")
         value = embedding_number(phi)
-        report.results = {"embedding_number": _pi_value(value), "group": str(G)}
+        results = report["results"] = {"embedding_number": _pi_value(value), "group": str(G)}
         lines = [f"embedding number of {phi} = {_pi_value(value)}"]
         if args.profile:
-            report.results["profile"] = profile_to_json(distance_profile(phi))
-            lines.append(json.dumps(report.results["profile"]))
-    elif args.group:
+            results["profile"] = profile_to_json(distance_profile(phi))
+            lines.append(json.dumps(results["profile"]))
+        return lines
+    if args.group:
         value, hom = pi_group_search(args.n, G, args.budget)
-        report.results = {
+        report["results"] = {
             "pi": _pi_value(value),
             "group": str(G),
             "images": _flat_images(hom) if hom else None,
         }
-        lines = [f"pi({args.n}, {G}) = {_pi_value(value)}"]
-    else:
-        value, hom = pi_number_search(args.n, args.k, args.budget)
-        report.results = {
-            "pi": _pi_value(value),
-            "attained_by": str(hom.group) if hom else None,
-            "images": _flat_images(hom) if hom else None,
-        }
-        lines = [
-            f"pi({args.n}, {args.k}) = {_pi_value(value)}"
-            + (
-                f", attained by {hom.group} with images {_flat_images(hom)}"
-                if hom
-                else ""
-            )
-        ]
-    _emit(report, args, lines)
-    return EXIT_OK
+        return [f"pi({args.n}, {G}) = {_pi_value(value)}"]
+    value, hom = pi_number_search(args.n, args.k, args.budget)
+    report["results"] = {
+        "pi": _pi_value(value),
+        "attained_by": str(hom.group) if hom else None,
+        "images": _flat_images(hom) if hom else None,
+    }
+    attained = f", attained by {hom.group} with images {_flat_images(hom)}" if hom else ""
+    return [f"pi({args.n}, {args.k}) = {_pi_value(value)}{attained}"]
 
 
 def _flat_images(hom: Homomorphism) -> list:
@@ -217,43 +171,37 @@ def _flat_images(hom: Homomorphism) -> list:
     return [list(img) for img in hom.images]
 
 
-def _cmd_embed2d(args: argparse.Namespace) -> int:
-    report = RunReport("embed2d", {"k": args.k})
+def _cmd_embed2d(args: argparse.Namespace, report: dict) -> List[str]:
+    report["parameters"] = {"k": args.k}
     pe = build_planar_embedding(args.k)
-    report.results = {
+    report["results"] = {
         "k": args.k,
         "images": list(pe.image_values),
         "embedding_number": pe.embedding_weight,
         "lower_bound": f_lower_bound(2, args.k),
         "used_fallback": pe.used_fallback,
     }
-    _emit(
-        report,
-        args,
-        [
-            f"k={args.k}: images {pe.image_values}, embedding number "
-            f"{pe.embedding_weight} (fallback: {pe.used_fallback})"
-        ],
-    )
-    return EXIT_OK
+    return [
+        f"k={args.k}: images {pe.image_values}, embedding number "
+        f"{pe.embedding_weight} (fallback: {pe.used_fallback})"
+    ]
 
 
-def _cmd_search_pl(args: argparse.Namespace) -> int:
+def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
     for flag, value in (("--node-limit", args.node_limit),
                         ("--checkpoint-every", args.checkpoint_every)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     n = args.n
-    k = args.k if args.k is not None else 2 * n * n + 2 * n + 1
+    k = args.k if args.k is not None else sphere_size(n, 2)
     G = _named_group(args.group, args.k) if args.group else cyclic(k)
-    params = {
+    report["parameters"] = {
         "n": n,
         "k": G.order,
         "group": str(G),
         "shards": args.shards,
         "shard_index": args.shard_index,
     }
-    report = RunReport("search-pl", params)
     shard = None
     if args.shards is not None:
         plan = plan_shards_for_group(G, args.shards)
@@ -287,15 +235,14 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
     )
     wall = time.perf_counter() - t0
     if isinstance(result, Checkpoint):
-        report.results = {
+        report["results"] = {
             "verdict": "SUSPENDED",
             "nodes": result.nodes,
             "wall_time_s": wall,
             "checkpoint": args.checkpoint,
         }
-        _emit(report, args, [f"suspended at {result.nodes} nodes"])
-        return EXIT_OK
-    report.results = {
+        return [f"suspended at {result.nodes} nodes"]
+    results = report["results"] = {
         "verdict": result.verdict,
         "witness": [list(g) for g in result.witness] if result.witness else None,
         "nodes": result.nodes_visited,
@@ -306,7 +253,7 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
     span = f"positions [{shard.start}, {shard.stop})" if shard else ""
     scope = f" whose least entry is a candidate at {span}" if shard else ""
     if result.verdict == "NO_WITNESS":
-        report.results["certificate"] = {
+        results["certificate"] = {
             "statement": (
                 f"no n-tuple over {G}{scope} is injective on the radius-2 sphere"
             ),
@@ -319,52 +266,43 @@ def _cmd_search_pl(args: argparse.Namespace) -> int:
             "nodes_tested": result.nodes_visited,
             "shard": [shard.start, shard.stop] if shard else None,
         }
-    _emit(
-        report,
-        args,
-        [
-            f"{result.verdict} for n={n}, {G}"
-            + (f", least entry at {span}" if shard else "")
-            + f" ({result.nodes_visited} nodes, {wall:.2f}s)"
-            + (f", witness {result.witness}" if result.witness else "")
-        ],
-    )
-    return EXIT_OK
+    return [
+        f"{result.verdict} for n={n}, {G}"
+        + (f", least entry at {span}" if shard else "")
+        + f" ({result.nodes_visited} nodes, {wall:.2f}s)"
+        + (f", witness {result.witness}" if result.witness else "")
+    ]
 
 
-def _cmd_search_qpl(args: argparse.Namespace) -> int:
-    report = RunReport(
-        "search-qpl",
-        {"n": args.n, "k": args.k, "all_groups": args.all_groups},
-    )
-    phi = search_optimal_embedding(
-        args.n, args.k, all_groups=args.all_groups, budget=args.budget
-    )
+def _cmd_search_qpl(args: argparse.Namespace, report: dict) -> List[str]:
+    n, k = args.n, args.k
+    report["parameters"] = {"n": n, "k": k, "all_groups": args.all_groups}
+    phi = search_optimal_embedding(n, k, all_groups=args.all_groups, budget=args.budget)
     if phi is None:
-        report.results = {"found": False}
-        _emit(report, args, [f"NOT_FOUND: no optimal embedding of {args.k} in Z^{args.n}"])
-        return EXIT_OK
-    report.results = {
+        # The claim names the groups searched: without --all-groups, only Z_k.
+        groups = groups_of_order(k) if args.all_groups else [cyclic(k)]
+        report["results"] = {"found": False, "groups_searched": [str(G) for G in groups]}
+        if args.all_groups:
+            return [f"NOT_FOUND: no optimal embedding of Z^{n} into any abelian group "
+                    f"of order {k}"]
+        return [f"NOT_FOUND: no optimal embedding Z^{n} -> {groups[0]} (cyclic group only; "
+                f"--all-groups searches every group of order {k})"]
+    report["results"] = {
         "found": True,
         "group": str(phi.group),
         "images": _flat_images(phi),
         "embedding_number": embedding_number(phi),
     }
-    _emit(
-        report,
-        args,
-        [f"optimal embedding of {args.k}: {phi.group} images {_flat_images(phi)}"],
-    )
-    return EXIT_OK
+    return [f"optimal embedding of {k}: {phi.group} images {_flat_images(phi)}"]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, report: dict) -> List[str]:
     path = args.appendix or bundled_table_path()
-    report = RunReport("verify", {"appendix": path})
-    report.input_digests[path] = _digest(path)
+    report["parameters"] = {"appendix": path}
+    report["input_digests"][path] = _digest(path)
     rows = load_appendix_rows(path)
     result = verify_appendix(rows)
-    report.results = {
+    report["results"] = {
         "rows": len(rows),
         "all_rows_pass": result.all_rows_pass,
         "failures": [
@@ -377,35 +315,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for row in result.failures:
         lines.append(f"DISCREPANCY: k={row.k} images {row.images} is not optimal")
     lines.append(f"radius windows 1..6 covered: {result.coverage_ok}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    return lines
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace, report: dict) -> List[str]:
     with open(args.code, encoding="utf-8") as fh:
         code = code_from_json(json.load(fh))
-    report = RunReport("decode", {"code": args.code, "word": args.word})
-    report.input_digests[args.code] = _digest(args.code)
+    report["parameters"] = {"code": args.code, "word": args.word}
+    report["input_digests"][args.code] = _digest(args.code)
     word = tuple(_parse_images(args.word))
     nearest = decode(code, word)
-    from .spheres import lee_distance
-
-    report.results = {
+    distance = lee_distance(word, nearest)
+    report["results"] = {
         "word": list(word),
         "codeword": list(nearest),
-        "distance": lee_distance(word, nearest),
+        "distance": distance,
         "classification": code.classification.value,
     }
-    _emit(
-        report,
-        args,
-        [f"{word} -> {nearest} (distance {report.results['distance']})"],
-    )
-    return EXIT_OK
+    return [f"{word} -> {nearest} (distance {distance})"]
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    report = RunReport("bound", {"n": args.n, "alpha": str(args.alpha) if args.alpha else None})
+def _cmd_bound(args: argparse.Namespace, report: dict) -> List[str]:
+    report["parameters"] = {"n": args.n, "alpha": str(args.alpha) if args.alpha else None}
     if args.n == 3 and args.alpha is None:
         threshold = qpl3_threshold(args.rmax)
         alpha = OCTAHEDRON_PACKING_EFFICIENCY
@@ -419,14 +350,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         hit = kn_bound_scan(args.n, alpha, args.rmax)
         threshold = hit[0] if hit else None
     if threshold is None:
-        report.results = {"threshold_e": None, "scanned_to": args.rmax}
-        _emit(report, args, [f"NO_THRESHOLD up to radius {args.rmax}"])
-        return EXIT_OK
+        report["results"] = {"threshold_e": None, "scanned_to": args.rmax}
+        return [f"NO_THRESHOLD up to radius {args.rmax}"]
     at = exclusion_margin(args.n, threshold, alpha)
     before = (
         exclusion_margin(args.n, threshold - 1, alpha) if threshold > 0 else None
     )
-    report.results = {
+    report["results"] = {
         "threshold_e": threshold,
         "alpha": str(alpha),
         "margin_at_threshold": str(at),
@@ -439,34 +369,29 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     ]
     if before is not None:
         lines.append(f"exact margin at e={threshold - 1}: {before}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    return lines
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    report = RunReport(
-        "render",
-        {"k": args.k, "images": args.images, "extent": args.extent, "out": args.out},
-    )
+def _cmd_render(args: argparse.Namespace, report: dict) -> List[str]:
+    report["parameters"] = {
+        "k": args.k, "images": args.images, "extent": args.extent, "out": args.out,
+    }
     phi = Homomorphism.cyclic(args.k, args.images)
     radii = args.radii if args.radii else None
     svg = render_grid(phi, args.extent, radii)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    report.results = {"out": args.out, "bytes": len(svg)}
-    _emit(report, args, [f"wrote {args.out} ({len(svg)} bytes)"])
-    return EXIT_OK
+    report["results"] = {"out": args.out, "bytes": len(svg)}
+    return [f"wrote {args.out} ({len(svg)} bytes)"]
 
 
-def _cmd_conjecture_probe(args: argparse.Namespace) -> int:
+def _cmd_conjecture_probe(args: argparse.Namespace, report: dict) -> List[str]:
     """Scan orders comparing cyclic attainment against the overall optimum.
 
     Reports candidate counterexamples (orders where some non-cyclic
     group embeds strictly better than the cyclic one); asserts nothing.
     """
-    report = RunReport(
-        "conjecture-probe", {"n": args.n, "kmin": args.kmin, "kmax": args.kmax}
-    )
+    report["parameters"] = {"n": args.n, "kmin": args.kmin, "kmax": args.kmax}
     candidates = []
     scanned = []
     for k in range(args.kmin, args.kmax + 1):
@@ -483,13 +408,12 @@ def _cmd_conjecture_probe(args: argparse.Namespace) -> int:
             cyclic_value == "infinity" or best < cyclic_value
         ):
             candidates.append({"k": k, "cyclic": cyclic_value, "best": best})
-    report.results = {"candidates": candidates, "scanned": scanned}
+    report["results"] = {"candidates": candidates, "scanned": scanned}
     lines = [f"scanned k in [{args.kmin}, {args.kmax}]: "
              f"{len(candidates)} counterexample candidate(s)"]
     for c in candidates:
         lines.append(f"candidate: k={c['k']} cyclic={c['cyclic']} best={c['best']}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated generator images: fixes one homomorphism")
     p.add_argument("--profile", action="store_true",
                    help="with --images, also emit the distance profile")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_HOM_BUDGET)
     p.set_defaults(fn=_cmd_pi)
 
     p = sub.add_parser("embed2d", parents=[common],
@@ -539,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int)
     p.add_argument("--shard-index", type=int)
     p.add_argument("--checkpoint", help="checkpoint file; resumes if it exists")
-    p.add_argument("--checkpoint-every", type=int, default=10**7)
+    p.add_argument("--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY)
     p.add_argument("--node-limit", type=int,
                    help="suspend (with checkpoint) after this many nodes")
     p.set_defaults(fn=_cmd_search_pl)
@@ -549,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--all-groups", action="store_true")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(fn=_cmd_search_qpl)
 
     p = sub.add_parser("verify", parents=[common], help="verify an embedding table CSV")
@@ -569,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", type=_parse_fraction,
                    help="packing efficiency as p/q (built in only for n=3)")
-    p.add_argument("--rmax", type=int, default=10**4)
+    p.add_argument("--rmax", type=int, default=DEFAULT_SCAN_BOUND)
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("render", parents=[common],
@@ -586,24 +510,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmin", type=int, default=2)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_HOM_BUDGET)
     p.set_defaults(fn=_cmd_conjecture_probe)
 
     return parser
 
 
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    report = {
+        "report_version": REPORT_VERSION,
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "parameters": {},
+        "results": {},
+        "timing_s": 0.0,
+        "input_digests": {},
+    }
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        lines = args.fn(args, report)
+        report["timing_s"] = time.perf_counter() - t0
+        print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 def main() -> None:

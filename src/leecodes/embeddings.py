@@ -354,6 +354,8 @@ def pi_group_search(
     value-preserving because negating a single image or permuting
     coordinates never changes the embedding number.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if G.order**n > budget:
         raise BudgetExceededError(
             f"{G.order}^{n} homomorphisms exceed the budget of {budget}"

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 GroupElement = Tuple[int, ...]
 
-DEFAULT_FACTOR_LIMIT = 10**9
+FACTOR_LIMIT = 10**9
 
 
 class BitLayout(NamedTuple):
@@ -221,12 +221,12 @@ def cyclic_element(k: int, v: int) -> GroupElement:
     return () if k == 1 else (v % k,)
 
 
-def _factorize(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> Dict[int, int]:
-    """Prime factorization by trial division; k beyond `limit` is rejected."""
+def _factorize(k: int) -> Dict[int, int]:
+    """Prime factorization by trial division; k beyond ``FACTOR_LIMIT`` is rejected."""
     if k < 1:
         raise ValueError(f"cannot factor {k}")
-    if k > limit:
-        raise ValueError(f"order {k} exceeds the factorization limit {limit}")
+    if k > FACTOR_LIMIT:
+        raise ValueError(f"order {k} exceeds the factorization limit {FACTOR_LIMIT}")
     out: Dict[int, int] = {}
     m = k
     p = 2
@@ -240,9 +240,9 @@ def _factorize(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> Dict[int, int]:
     return out
 
 
-def is_square_free(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> bool:
+def is_square_free(k: int) -> bool:
     """True iff no prime squared divides k."""
-    return all(e == 1 for e in _factorize(k, limit).values())
+    return all(e == 1 for e in _factorize(k).values())
 
 
 def _partitions(a: int) -> List[Tuple[int, ...]]:
@@ -288,7 +288,7 @@ def _combine_prime_powers(parts: Dict[int, Sequence[int]]) -> Tuple[int, ...]:
     return tuple(reversed(descending))
 
 
-def groups_of_order(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> List[AbelianGroup]:
+def groups_of_order(k: int) -> List[AbelianGroup]:
     """One representative per isomorphism class of abelian groups of order k.
 
     Classes correspond to a choice of partition of each prime exponent.
@@ -299,7 +299,7 @@ def groups_of_order(k: int, limit: int = DEFAULT_FACTOR_LIMIT) -> List[AbelianGr
         raise ValueError(f"order must be >= 1, got {k}")
     if k == 1:
         return [AbelianGroup(())]
-    fac = _factorize(k, limit)
+    fac = _factorize(k)
     primes = sorted(fac)
     per_prime = [_partitions(fac[p]) for p in primes]
     groups = [

@@ -10,8 +10,9 @@ reduction mod k injective/surjective at the right radii.
 The constructor always self-verifies the returned homomorphism.  The
 upper-window case manipulates (k-1)/2 and (k+1)/2, which presumes odd k,
 so rather than trusting the closed form blindly we re-check it and fall
-back to a small exhaustive search over generator pairs when it fails;
-the result records which path produced it.
+back to ``qpl.search_optimal_embedding`` when it fails, the first
+optimal pair 0 < a < b <= k/2 in lexicographic order; the result records
+which path produced it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 from dataclasses import dataclass
 
 from .embeddings import Homomorphism, is_optimal
+from .qpl import search_optimal_embedding
 from .spheres import f_lower_bound, radius_for, sphere_size
 
 logger = logging.getLogger(__name__)
@@ -68,11 +70,9 @@ def build_planar_embedding(k: int) -> PlanarEmbedding:
         b,
         k,
     )
-    for a in range(1, k // 2 + 1):
-        for b in range(a + 1, k // 2 + 1):
-            phi = Homomorphism.cyclic(k, (a, b))
-            if is_optimal(phi):
-                return PlanarEmbedding(phi, True, f_lower_bound(2, k))
+    phi = search_optimal_embedding(2, k, budget=2 * k)
+    if phi is not None:
+        return PlanarEmbedding(phi, True, f_lower_bound(2, k))
     raise RuntimeError(
         f"no optimal generator pair exists in Z_{k}; "
         "this contradicts the planar construction guarantee"

@@ -50,6 +50,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import check_json_fields
 from .groups import AbelianGroup, GroupElement
+from .spheres import sphere_size
 
 CHECKPOINT_VERSION = 1
 DEFAULT_CHECKPOINT_EVERY = 10**7
@@ -351,7 +352,7 @@ def backtrack_pl2(
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    expected = 2 * n * n + 2 * n + 1
+    expected = sphere_size(n, 2)
     if G.order != expected:
         warnings.warn(
             f"|G| = {G.order} differs from the radius-2 sphere size "
@@ -372,7 +373,7 @@ def backtrack_pl2(
     if resume is not None:
         if (resume.n, resume.group_factors, resume.shard) != (n, G.factors, shard_tuple):
             raise ValueError("checkpoint does not match the requested search")
-        _check_frontier(resume.prefix, resume.next_pos, n, lo, hi, total)
+        _check_frontier(resume, lo, hi, total)
         prefix, next_pos, nodes = resume.prefix, resume.next_pos, resume.nodes
 
     stop_at = math.inf if node_limit is None else nodes + node_limit
@@ -410,15 +411,17 @@ def backtrack_pl2(
     return outcome
 
 
-def _check_frontier(
-    prefix: Sequence[int], next_pos: int, n: int, lo: int, hi: int, total: int
-) -> None:
+def _check_frontier(resume: Checkpoint, lo: int, hi: int, total: int) -> None:
     """Refuse a resume frontier that no search over [lo, hi) can reach.
 
     Resuming trusts (prefix, next_pos) to mark where preorder stopped:
     an out-of-range position would silently skip or repeat subtrees,
-    and so give a false certificate.
+    and so give a false certificate.  The stored node count starts the
+    certificate's count, so a negative one is refused too.
     """
+    prefix, next_pos, n = resume.prefix, resume.next_pos, resume.n
+    if resume.nodes < 0:
+        raise ValueError(f"corrupt checkpoint: negative node count {resume.nodes}")
     if len(prefix) >= n:
         raise ValueError(f"corrupt checkpoint: prefix of length {len(prefix)} for n = {n}")
     if any(not 0 <= pos < total for pos in prefix):

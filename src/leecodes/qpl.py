@@ -35,7 +35,7 @@ from .groups import AbelianGroup, GroupElement, cyclic, groups_of_order
 from .plsearch import ball_injective_tuples
 from .spheres import Word, radius_for, sphere_size
 
-DEFAULT_TORUS_BUDGET = 10**7
+TORUS_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 2000
 BUNDLED_TABLE = "optimal_embeddings_z3.csv"
 CSV_HEADER = ["k", "phi_e1", "phi_e2", "phi_e3"]
@@ -124,9 +124,7 @@ def torus_weight(w: Sequence[int], p: int) -> int:
     return sum(min(c % p, p - c % p) if c % p else 0 for c in w)
 
 
-def kernel_points(
-    phi: Homomorphism, p: int, budget: int = DEFAULT_TORUS_BUDGET
-) -> List[Word]:
+def kernel_points(phi: Homomorphism, p: int) -> List[Word]:
     """All points of [0, p)^n in the kernel of phi, in lexicographic order.
 
     p must be a multiple of the code period so that phi is well defined
@@ -135,9 +133,9 @@ def kernel_points(
     """
     if p % period_of(phi) != 0:
         raise ValueError(f"{p} is not a multiple of the period {period_of(phi)}")
-    if p**phi.n > budget:
+    if p**phi.n > TORUS_BUDGET:
         raise BudgetExceededError(
-            f"torus has {p}^{phi.n} points, over the budget of {budget}"
+            f"torus has {p}^{phi.n} points, over the budget of {TORUS_BUDGET}"
         )
     G = phi.group
     *head_images, last = phi.images
@@ -160,7 +158,7 @@ def kernel_points(
     return [head + (x,) for head, g in heads for x in tails.get(g, ())]
 
 
-def min_distance_on_torus(code: LinearLeeCode, budget: int = DEFAULT_TORUS_BUDGET) -> int:
+def min_distance_on_torus(code: LinearLeeCode) -> int:
     """Minimum pairwise distance between distinct codewords on the
     fundamental torus.
 
@@ -170,7 +168,7 @@ def min_distance_on_torus(code: LinearLeeCode, budget: int = DEFAULT_TORUS_BUDGE
     """
     p = code.period
     best: Optional[int] = None
-    for x in kernel_points(code.hom, p, budget):
+    for x in kernel_points(code.hom, p):
         if all(c == 0 for c in x):
             continue
         w = torus_weight(x, p)
@@ -181,11 +179,7 @@ def min_distance_on_torus(code: LinearLeeCode, budget: int = DEFAULT_TORUS_BUDGE
     return best
 
 
-def torus_tiling_check(
-    phi: Homomorphism,
-    cells: Iterable[Word],
-    budget: int = DEFAULT_TORUS_BUDGET,
-) -> bool:
+def torus_tiling_check(phi: Homomorphism, cells: Iterable[Word]) -> bool:
     """Do kernel translates of the given cell set partition the torus?
 
     This is the finite, executable form of the correspondence between
@@ -200,14 +194,14 @@ def torus_tiling_check(
         )
     p = period_of(phi)
     n = phi.n
-    if p**n > budget:
+    if p**n > TORUS_BUDGET:  # before the p^n bytes below are allocated
         raise BudgetExceededError(
-            f"torus has {p}^{n} points, over the budget of {budget}"
+            f"torus has {p}^{n} points, over the budget of {TORUS_BUDGET}"
         )
     strides = [p**i for i in range(n - 1, -1, -1)]
     seen = bytearray(p**n)
     count = 0
-    for lat in kernel_points(phi, p, budget):
+    for lat in kernel_points(phi, p):
         for cell in cell_list:
             idx = 0
             for c, l, s in zip(cell, lat, strides):

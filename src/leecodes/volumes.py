@@ -75,6 +75,8 @@ def qpl3_threshold(scan_bound: int = DEFAULT_SCAN_BOUND) -> Optional[int]:
     the threshold is checked, not assumed).  Returns None if no radius
     up to the bound triggers the exclusion.
     """
+    if scan_bound < 0:  # an empty scan would report no threshold
+        raise ValueError(f"scan bound must be >= 0, got {scan_bound}")
     alpha = OCTAHEDRON_PACKING_EFFICIENCY
     threshold: Optional[int] = None
     for e in range(scan_bound + 1):
@@ -99,6 +101,8 @@ def kn_bound_scan(
     never triggers (e.g. alpha = 1 for the square, which tiles)."""
     if not 0 < alpha <= 1:
         raise ValueError(f"packing efficiency must be in (0, 1], got {alpha}")
+    if r_max < 0:
+        raise ValueError(f"scan bound must be >= 0, got {r_max}")
     for r in range(r_max + 1):
         k = sphere_size(n, r + 1) - 1
         if _exceeds(n, r, k, alpha):

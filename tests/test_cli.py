@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leecodes
-from leecodes.cli import RunReport, cli_dispatch
+from leecodes.cli import cli_dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -46,15 +46,17 @@ def test_golden_reports(capsys):
         assert got == expected, name
 
 
-def test_run_report_round_trip():
-    report = RunReport("sphere", {"n": 3, "r": 2}, {"sphere_size": 25}, 0.25)
-    again = RunReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert again == report
-
-
 def test_sphere_human(capsys):
     out = run_human(capsys, "sphere", "--n", "3", "--r", "2")
     assert "25" in out
+
+
+def test_sphere_list_shell(capsys):
+    data = run_json(capsys, "sphere", "--n", "2", "--r", "1", "--list-shell")
+    assert sorted(data["results"]["shell_words"]) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+    lines = run_human(capsys, "sphere", "--n", "2", "--r", "1", "--list-shell").splitlines()
+    assert lines[:2] == ["|S_2,1| = 5", "shell at distance 1: 4"]
+    assert lines[2].startswith("words: ")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -79,6 +81,15 @@ def test_pi_profile_output(capsys):
         capsys, "pi", "--n", "2", "--k", "16", "--images", "2,3", "--profile"
     )
     assert len(data["results"]["profile"]["entries"]) == 16
+
+
+def test_pi_images_on_non_cyclic_group(capsys):
+    # Images come in blocks of one residue per invariant factor.
+    data = run_json(capsys, "pi", "--n", "2", "--group", "Z_4xZ_4", "--images", "1,0,0,1")
+    assert data["results"] == {"embedding_number": 32, "group": "Z_4xZ_4"}
+    assert "images must come in blocks of 2" in _refused(
+        capsys, ["pi", "--n", "2", "--group", "Z_4xZ_4", "--images", "1,0,0"]
+    )
 
 
 def test_pi_for_explicit_group(capsys):
@@ -158,7 +169,29 @@ def test_search_qpl(capsys):
     assert data["results"]["found"] is True
     assert data["results"]["images"] == [1, 5, 21]
     data = run_json(capsys, "search-qpl", "--n", "3", "--k", "25")
-    assert data["results"]["found"] is False
+    assert data["results"] == {"found": False, "groups_searched": ["Z_25"]}
+
+
+def test_search_qpl_not_found_names_the_groups_searched(capsys):
+    # Z_36 has no optimal embedding of Z^4, but Z_3xZ_12 has one: a
+    # NOT_FOUND without --all-groups covers the cyclic group only.
+    argv = ["search-qpl", "--n", "4", "--k", "36"]
+    assert run_json(capsys, *argv)["results"] == {"found": False, "groups_searched": ["Z_36"]}
+    assert run_human(capsys, *argv) == (
+        "NOT_FOUND: no optimal embedding Z^4 -> Z_36 (cyclic group only; "
+        "--all-groups searches every group of order 36)\n"
+    )
+    data = run_json(capsys, *argv, "--all-groups")
+    assert data["results"]["found"] is True
+    assert data["results"]["group"] == "Z_3xZ_12"
+    assert data["results"]["images"] == [[0, 1], [0, 4], [1, 1], [1, 7]]
+    argv = ["search-qpl", "--n", "3", "--k", "25", "--all-groups"]
+    assert run_json(capsys, *argv)["results"] == {
+        "found": False, "groups_searched": ["Z_25", "Z_5xZ_5"],
+    }
+    assert run_human(capsys, *argv) == (
+        "NOT_FOUND: no optimal embedding of Z^3 into any abelian group of order 25\n"
+    )
 
 
 def test_verify_bundled(capsys):
@@ -205,6 +238,17 @@ def test_json_flag_before_or_after_subcommand(capsys):
     assert "pi(2, 16) = 29" in run_human(capsys, "pi", "--n", "2", "--k", "16")
     data = json.loads(run_human(capsys, "sphere", "--n", "3", "--r", "2", "--json"))
     assert data["results"]["sphere_size"] == 25
+
+
+def test_search_pl_progress_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr("leecodes.plsearch.PROGRESS_EVERY", 5000)
+    assert cli_dispatch(["search-pl", "--n", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("NO_WITNESS for n=5, Z_61 (12662 nodes, ")
+    assert captured.err.splitlines() == [
+        "progress: 5000 nodes (~16.5% of crude bound)",
+        "progress: 10000 nodes (~33.1% of crude bound)",
+    ]
 
 
 def test_bound_custom_alpha(capsys):
@@ -290,6 +334,14 @@ def _refused(capsys, argv) -> str:
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/no/dir/ck", "--checkpoint-every", "1"],
         ["render", "--k", "5", "--images", "1,2", "--extent", "1",
          "--out", "{tmp}/no/dir/x.svg"],
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/negative_nodes.json"],
+        ["pi", "--n", "0", "--k", "5"],
+        ["pi", "--n", "2", "--k", "16", "--profile"],  # --profile needs --images
+        ["bound", "--n", "3", "--rmax", "-1"],
+        ["bound", "--n", "4", "--alpha", "9/10", "--rmax", "-1"],
+        ["pi", "--n", "2"],  # neither --k nor --group
+        ["search-pl", "--n", "3", "--shards", "3", "--shard-index", "5"],
+        ["bound", "--n", "4"],  # --alpha is built in only for n = 3
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
@@ -302,6 +354,10 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "int_prefix.json").write_text(
         '{"version": 1, "n": 3, "group_factors": [25], "prefix": 5, "next_pos": 0, "nodes": 0}'
+    )
+    (tmp_path / "negative_nodes.json").write_text(
+        '{"version": 1, "n": 3, "group_factors": [25], "prefix": [], "next_pos": 0,'
+        ' "nodes": -1000}'
     )
     (tmp_path / "int_images.json").write_text(
         '{"version": 1, "group": [13], "images": 5, "e": 2, "period": 13,'

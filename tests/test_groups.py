@@ -162,7 +162,7 @@ def test_invalid_groups_rejected():
     with pytest.raises(ValueError):
         groups_of_order(0)
     with pytest.raises(ValueError):
-        groups_of_order(10**10, limit=10**9)
+        groups_of_order(10**10)  # beyond the factorization limit
 
 
 def test_cyclic_helpers():

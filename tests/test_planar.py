@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from leecodes.embeddings import embedding_number, is_optimal
+from leecodes.embeddings import Homomorphism, embedding_number, is_optimal
 from leecodes.planar import (
     build_planar_embedding,
     closed_form_images,
@@ -75,6 +75,24 @@ def test_segment_image_matches_direct_evaluation():
 def test_segment_image_range_check():
     with pytest.raises(ValueError):
         segment_image(3, 4)
+
+
+def test_fallback_when_the_closed_form_fails(monkeypatch, caplog):
+    monkeypatch.setattr("leecodes.planar.closed_form_images", lambda k: (1, 2))
+    for k in (13, 16, 61, 100):
+        pe = build_planar_embedding(k)
+        assert pe.used_fallback
+        assert is_optimal(pe.hom), k
+        assert pe.embedding_weight == f_lower_bound(2, k)
+        # The first optimal pair 0 < a < b <= k/2 in lexicographic order.
+        first = next(
+            (a, b)
+            for a in range(1, k // 2 + 1)
+            for b in range(a + 1, k // 2 + 1)
+            if is_optimal(Homomorphism.cyclic(k, (a, b)))
+        )
+        assert pe.image_values == first, k
+    assert "falling back" in caplog.text
 
 
 def test_invalid_k():

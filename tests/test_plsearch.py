@@ -271,6 +271,29 @@ def test_checkpoint_file_round_trip(tmp_path):
     assert not path.exists()  # removed on completion
 
 
+def test_periodic_checkpoints_and_progress(tmp_path, monkeypatch):
+    # Checkpoints saved on the way, without a node limit, and progress
+    # reports fire at each multiple of their period; every saved frontier
+    # resumes to the uninterrupted verdict and node count.
+    monkeypatch.setattr("leecodes.plsearch.PROGRESS_EVERY", 1000)
+    path = str(tmp_path / "ck.json")
+    G = cyclic(61)
+    reported, saved = [], []
+
+    def progress(nodes):
+        reported.append(nodes)
+        saved.append(Checkpoint.load(path))  # saved just before this report
+
+    res = backtrack_pl2(5, G, checkpoint_path=path, checkpoint_every=1000, progress=progress)
+    assert (res.verdict, res.nodes_visited) == ("NO_WITNESS", 12662)
+    assert reported == list(range(1000, 12662, 1000))
+    assert [ck.nodes for ck in saved] == reported
+    assert not (tmp_path / "ck.json").exists()
+    for ck in saved:
+        again = backtrack_pl2(5, G, resume=ck)
+        assert (again.verdict, again.nodes_visited) == ("NO_WITNESS", 12662)
+
+
 def test_checkpoint_mismatch_rejected():
     res = backtrack_pl2(4, cyclic(41), node_limit=50)
     assert isinstance(res, Checkpoint)
@@ -300,6 +323,7 @@ def _ck25(prefix, next_pos, shard=None):
         _ck25((), 3, shard=(4, 8)),  # next_pos outside the shard
         _ck25((), 9, shard=(4, 8)),
         _ck25((0, 1), 2),  # deficient prefix: 1 + 1 = 2
+        Checkpoint(1, 3, (25,), None, None, (), 0, -1000),  # negative node count
     ],
 )
 def test_corrupt_checkpoint_frontier_rejected(ckpt):
