@@ -38,7 +38,6 @@ from .errors import BudgetExceededError
 from .groups import AbelianGroup, cyclic, groups_of_order
 from .planar import build_planar_embedding
 from .plsearch import (
-    DEFAULT_CHECKPOINT_EVERY,
     Checkpoint,
     backtrack_pl2,
     node_budget_estimate,
@@ -60,7 +59,6 @@ from .volumes import (
     OCTAHEDRON_PACKING_EFFICIENCY,
     exclusion_margin,
     kn_bound_scan,
-    qpl3_threshold,
 )
 
 REPORT_VERSION = 1
@@ -188,10 +186,8 @@ def _cmd_embed2d(args: argparse.Namespace, report: dict) -> List[str]:
 
 
 def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
-    for flag, value in (("--node-limit", args.node_limit),
-                        ("--checkpoint-every", args.checkpoint_every)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    if args.node_limit is not None and args.node_limit < 1:
+        raise ValueError(f"--node-limit must be >= 1, got {args.node_limit}")
     n = args.n
     k = args.k if args.k is not None else sphere_size(n, 2)
     G = _named_group(args.group, args.k) if args.group else cyclic(k)
@@ -223,16 +219,8 @@ def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
         print(f"resuming from checkpoint at {resume.nodes} nodes", file=sys.stderr)
 
     t0 = time.perf_counter()
-    result = backtrack_pl2(
-        n,
-        G,
-        shard,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        node_limit=args.node_limit,
-        resume=resume,
-        progress=progress,
-    )
+    result = backtrack_pl2(n, G, shard, checkpoint_path=args.checkpoint,
+                           node_limit=args.node_limit, resume=resume, progress=progress)
     wall = time.perf_counter() - t0
     if isinstance(result, Checkpoint):
         report["results"] = {
@@ -337,21 +325,17 @@ def _cmd_decode(args: argparse.Namespace, report: dict) -> List[str]:
 
 def _cmd_bound(args: argparse.Namespace, report: dict) -> List[str]:
     report["parameters"] = {"n": args.n, "alpha": str(args.alpha) if args.alpha else None}
-    if args.n == 3 and args.alpha is None:
-        threshold = qpl3_threshold(args.rmax)
+    alpha = args.alpha
+    if alpha is None:
+        if args.n != 3:
+            raise ValueError("packing efficiency --alpha is required for n != 3 "
+                             "(only the 3-dimensional constant is built in)")
         alpha = OCTAHEDRON_PACKING_EFFICIENCY
-    else:
-        if args.alpha is None:
-            raise ValueError(
-                "packing efficiency --alpha is required for n != 3 "
-                "(only the 3-dimensional constant is built in)"
-            )
-        alpha = args.alpha
-        hit = kn_bound_scan(args.n, alpha, args.rmax)
-        threshold = hit[0] if hit else None
-    if threshold is None:
+    hit = kn_bound_scan(args.n, alpha, args.rmax)
+    if hit is None:
         report["results"] = {"threshold_e": None, "scanned_to": args.rmax}
         return [f"NO_THRESHOLD up to radius {args.rmax}"]
+    threshold = hit[0]
     at = exclusion_margin(args.n, threshold, alpha)
     before = (
         exclusion_margin(args.n, threshold - 1, alpha) if threshold > 0 else None
@@ -392,22 +376,18 @@ def _cmd_conjecture_probe(args: argparse.Namespace, report: dict) -> List[str]:
     group embeds strictly better than the cyclic one); asserts nothing.
     """
     report["parameters"] = {"n": args.n, "kmin": args.kmin, "kmax": args.kmax}
+    if args.kmin > args.kmax:
+        raise ValueError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     candidates = []
     scanned = []
     for k in range(args.kmin, args.kmax + 1):
-        per_group = {}
-        for G in groups_of_order(k):
-            value, _ = pi_group_search(args.n, G, args.budget)
-            per_group[str(G)] = _pi_value(value)
+        per_group = {str(G): pi_group_search(args.n, G, args.budget)[0]
+                     for G in groups_of_order(k)}
         cyclic_value = per_group[str(cyclic(k))]
-        best = min(
-            (v for v in per_group.values() if v != "infinity"), default="infinity"
-        )
-        scanned.append({"k": k, "pi_by_group": per_group})
-        if best != "infinity" and (
-            cyclic_value == "infinity" or best < cyclic_value
-        ):
-            candidates.append({"k": k, "cyclic": cyclic_value, "best": best})
+        best = min(per_group.values())
+        scanned.append({"k": k, "pi_by_group": {g: _pi_value(v) for g, v in per_group.items()}})
+        if best < cyclic_value:
+            candidates.append({"k": k, "cyclic": _pi_value(cyclic_value), "best": best})
     report["results"] = {"candidates": candidates, "scanned": scanned}
     lines = [f"scanned k in [{args.kmin}, {args.kmax}]: "
              f"{len(candidates)} counterexample candidate(s)"]
@@ -463,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int)
     p.add_argument("--shard-index", type=int)
     p.add_argument("--checkpoint", help="checkpoint file; resumes if it exists")
-    p.add_argument("--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY)
     p.add_argument("--node-limit", type=int,
                    help="suspend (with checkpoint) after this many nodes")
     p.set_defaults(fn=_cmd_search_pl)

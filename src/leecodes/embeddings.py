@@ -352,7 +352,9 @@ def pi_group_search(
     Returns (value, argmin) where value may be INFINITY (then argmin is
     None).  The search runs over normalized image tuples, which is
     value-preserving because negating a single image or permuting
-    coordinates never changes the embedding number.
+    coordinates never changes the embedding number.  It stops at the
+    first tuple that reaches f_lower_bound(n, |G|), below which no
+    embedding number lies.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -362,14 +364,16 @@ def pi_group_search(
         )
     if n < G.rank:
         return INFINITY, None  # too few generators to be surjective
+    bound = f_lower_bound(n, G.order)
     best = INFINITY
     best_hom: Optional[Homomorphism] = None
     for images in normalized_image_tuples(G, n):
         phi = Homomorphism(G, images)
         value = embedding_number(phi)
         if value < best:
-            best = value
-            best_hom = phi
+            best, best_hom = value, phi
+            if best == bound:
+                break
     return best, best_hom
 
 
@@ -381,14 +385,17 @@ def pi_group(n: int, G: AbelianGroup, budget: int = DEFAULT_HOM_BUDGET):
 def pi_number_search(
     n: int, k: int, budget: int = DEFAULT_HOM_BUDGET
 ) -> Tuple[object, Optional[Homomorphism]]:
-    """Minimum of pi_group over all abelian groups of order k, with argmin."""
+    """Minimum of pi_group over all abelian groups of order k, with argmin;
+    stops at the first group that reaches f_lower_bound(n, k)."""
+    bound = f_lower_bound(n, k)
     best = INFINITY
     best_hom: Optional[Homomorphism] = None
     for G in groups_of_order(k):
         value, hom = pi_group_search(n, G, budget)
         if value < best:
-            best = value
-            best_hom = hom
+            best, best_hom = value, hom
+            if best == bound:
+                break
     return best, best_hom
 
 

@@ -32,8 +32,10 @@ replays the prefix through the same acceptance test.
 One private generator, ``_walk``, is the only code that builds and steps
 this state: candidate choice, the acceptance step, push and backtrack,
 the replay of a resume prefix, and the witnesses.  Both searches run it.
-``backtrack_pl2`` takes its first witness, suspends it at a node limit
-or reports NO_WITNESS; ``ball_injective_tuples`` feeds
+The walk runs up to a node count and returns its frontier there.
+``backtrack_pl2`` loops over such runs: it takes the first witness,
+saves a checkpoint and reports progress at one cadence, suspends at a
+node limit or reports NO_WITNESS.  ``ball_injective_tuples`` feeds
 ``qpl.search_optimal_embedding`` with the tuples injective on the
 radius-1 or radius-2 ball.  The radius is table data of ``_BitTables``:
 at radius 1 a candidate adds only {+-c}, and P stays empty.
@@ -46,17 +48,19 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import check_json_fields
 from .groups import AbelianGroup, GroupElement
 from .spheres import sphere_size
 
 CHECKPOINT_VERSION = 1
-DEFAULT_CHECKPOINT_EVERY = 10**7
+# Nodes between checkpoint saves and progress reports.
 PROGRESS_EVERY = 10**6
 
 ProgressFn = Callable[[int], None]
+# A DFS frontier: the chosen candidate positions and the next position.
+Frontier = Tuple[Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -208,26 +212,21 @@ class _BitTables:
         return sum(1 << b for b in self.bits[lo:hi])
 
 
-# Called at the first node whose count reaches the walk's next event, with
-# (nodes, prefix positions, next position); returns the next event, or None
-# to stop the walk there.
-EventFn = Callable[[int, Tuple[int, ...], int], Optional[float]]
-
-
 def _walk(
     tables: _BitTables, n: int, lo: int, hi: int, prefix: Sequence[int] = (),
-    next_pos: int = 0, nodes: int = 0, next_event: float = math.inf,
-    on_event: Optional[EventFn] = None,
-) -> Iterator[Tuple[int, Tuple[GroupElement, ...]]]:
+    next_pos: int = 0, nodes: int = 0, stop: float = math.inf,
+) -> Generator[Tuple[int, Tuple[GroupElement, ...]], None, Tuple[int, Optional[Frontier]]]:
     """The depth-first walk of both searches: strictly increasing n-tuples
     of candidates whose first entry is at a position in [lo, hi), in
     lexicographic order, pruned by prefix.
 
-    Yields (nodes, tuple) for every accepted n-tuple and returns the node
-    count when the walk is exhausted or ``on_event`` stops it.  A node is
-    one acceptance step.  ``prefix`` and ``next_pos`` resume a frontier:
-    the prefix is replayed through the acceptance step, uncounted, and the
-    walk goes on at candidate position ``next_pos`` below it.
+    Yields (nodes, tuple) for every accepted n-tuple.  Returns
+    (nodes, None) when the walk is exhausted, or (nodes, (prefix
+    positions, next position)) at the first node whose count reaches
+    ``stop``: the frontier to resume from.  A node is one acceptance step.
+    ``prefix`` and ``next_pos`` resume a frontier: the prefix is replayed
+    through the acceptance step, uncounted, and the walk goes on at
+    candidate position ``next_pos`` below it.
     """
     bits = tables.bits
     pos_of = tables.pos_of
@@ -262,16 +261,14 @@ def _walk(
         if not rest:
             depth -= 1
             if depth == 0:
-                return nodes
+                return nodes, None
             r = chosen[depth] + 1
             mk, P, free = marked[depth], plus[depth], avail[depth]
             size = sizes[depth]
             continue
         b = r + (rest & -rest).bit_length() - 1
-        if nodes >= next_event:
-            next_event = on_event(nodes, tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
-            if next_event is None:
-                return nodes
+        if nodes >= stop:
+            return nodes, (tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
         nodes += 1
         r = b + 1
         # At radius 2, {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct
@@ -334,7 +331,6 @@ def backtrack_pl2(
     shard: Optional[Shard] = None,
     *,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     node_limit: Optional[int] = None,
     resume: Optional[Checkpoint] = None,
     progress: Optional[ProgressFn] = None,
@@ -344,14 +340,15 @@ def backtrack_pl2(
     Returns a SearchOutcome, or a Checkpoint if ``node_limit`` ran out
     first.  WITNESS reports the lexicographically first full-size tuple;
     NO_WITNESS certifies that every normalized tuple (restricted to the
-    shard's first-level range, if given) is deficient.
+    shard's first-level range, if given) is deficient.  With a checkpoint
+    path or a progress function, the walk stops every ``PROGRESS_EVERY``
+    nodes to save the checkpoint, then report progress, and resumes from
+    its frontier; otherwise it runs to ``node_limit`` in one piece.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     expected = sphere_size(n, 2)
     if G.order != expected:
         warnings.warn(
@@ -377,35 +374,27 @@ def backtrack_pl2(
         prefix, next_pos, nodes = resume.prefix, resume.next_pos, resume.nodes
 
     stop_at = math.inf if node_limit is None else nodes + node_limit
-    next_checkpoint = nodes + checkpoint_every if checkpoint_path else math.inf
-    next_progress = nodes + PROGRESS_EVERY if progress else math.inf
-    suspended: Optional[Checkpoint] = None
-
-    def on_event(nodes: int, prefix: Tuple[int, ...], pos: int) -> Optional[float]:
-        nonlocal next_checkpoint, next_progress, suspended
-        if nodes >= stop_at or nodes >= next_checkpoint:
-            ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
-                              prefix, pos, nodes)
-            if checkpoint_path:
-                ckpt.save(checkpoint_path)
-            if nodes >= stop_at:
-                suspended = ckpt
-                return None
-            next_checkpoint = nodes + checkpoint_every
-        if nodes >= next_progress:
+    every = PROGRESS_EVERY if checkpoint_path or progress else math.inf
+    while True:
+        walk = _walk(tables, n, lo, hi, prefix, next_pos, nodes, min(stop_at, nodes + every))
+        try:
+            nodes, witness = next(walk)
+            outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
+            break
+        except StopIteration as end:
+            nodes, frontier = end.value
+        if frontier is None:
+            outcome = SearchOutcome("NO_WITNESS", None, nodes, shard_id)
+            break
+        prefix, next_pos = frontier
+        ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
+                          prefix, next_pos, nodes)
+        if checkpoint_path:
+            ckpt.save(checkpoint_path)
+        if nodes >= stop_at:
+            return ckpt
+        if progress:
             progress(nodes)
-            next_progress = nodes + PROGRESS_EVERY
-        return min(stop_at, next_checkpoint, next_progress)
-
-    walk = _walk(tables, n, lo, hi, prefix, next_pos, nodes,
-                 min(stop_at, next_checkpoint, next_progress), on_event)
-    try:
-        nodes, witness = next(walk)
-        outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
-    except StopIteration as end:
-        if suspended is not None:
-            return suspended
-        outcome = SearchOutcome("NO_WITNESS", None, end.value, shard_id)
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return outcome

@@ -48,12 +48,7 @@ def volume_excludes_tiling(n: int, r: int, k: int, alpha: Fraction) -> bool:
             f"tile volume {k} outside the radius-{r} window "
             f"[{sphere_size(n, r)}, {sphere_size(n, r + 1)})"
         )
-    return _exceeds(n, r, k, alpha)
-
-
-def _exceeds(n: int, r: int, k: int, alpha: Fraction) -> bool:
-    """octahedron_volume(n, r) > alpha * k, cleared of denominators:
-    (2r+1)^n * den(alpha) > num(alpha) * k * n!."""
+    # Cleared of denominators: (2r+1)^n * den(alpha) > num(alpha) * k * n!.
     return (2 * r + 1) ** n * alpha.denominator > alpha.numerator * k * math.factorial(n)
 
 
@@ -64,47 +59,38 @@ def exclusion_margin(n: int, r: int, alpha: Fraction) -> Fraction:
     return octahedron_volume(n, r) / k - alpha
 
 
-def qpl3_threshold(scan_bound: int = DEFAULT_SCAN_BOUND) -> Optional[int]:
-    """Smallest correction radius beyond which no quasi-perfect code in
-    Z^3 can exist, by ascending exact-rational scan.
-
-    The exclusion at radius e must hold for the largest tile volume of
-    the window, sphere_size(3, e+1) - 1.  After the first hit the scan
-    continues to ``scan_bound`` and insists the exclusion keeps holding
-    (the limit argument makes the ratio tend to 1, but monotonicity past
-    the threshold is checked, not assumed).  Returns None if no radius
-    up to the bound triggers the exclusion.
-    """
-    if scan_bound < 0:  # an empty scan would report no threshold
-        raise ValueError(f"scan bound must be >= 0, got {scan_bound}")
-    alpha = OCTAHEDRON_PACKING_EFFICIENCY
-    threshold: Optional[int] = None
-    for e in range(scan_bound + 1):
-        k = sphere_size(3, e + 1) - 1
-        holds = volume_excludes_tiling(3, e, k, alpha)
-        if threshold is None:
-            if holds:
-                threshold = e
-        elif not holds:
-            raise InvariantError(
-                f"exclusion holds at radius {threshold} but fails at {e}; "
-                "the scan bound certificate would be unsound"
-            )
-    return threshold
-
-
 def kn_bound_scan(
     n: int, alpha: Fraction, r_max: int = DEFAULT_SCAN_BOUND
 ) -> Optional[Tuple[int, int]]:
     """First radius r <= r_max whose whole window is excluded, with the
     resulting order threshold sphere_size(n, r).  None when the scan
-    never triggers (e.g. alpha = 1 for the square, which tiles)."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"packing efficiency must be in (0, 1], got {alpha}")
-    if r_max < 0:
+    never triggers (e.g. alpha = 1 for the square, which tiles).
+
+    The exclusion at radius r must hold for the largest tile volume of
+    the window, sphere_size(n, r+1) - 1.  After the first hit the scan
+    continues to ``r_max`` and insists the exclusion keeps holding (the
+    limit argument makes the ratio tend to 1, but monotonicity past the
+    threshold is checked, not assumed).
+    """
+    if r_max < 0:  # an empty scan would report no threshold
         raise ValueError(f"scan bound must be >= 0, got {r_max}")
+    hit: Optional[Tuple[int, int]] = None
     for r in range(r_max + 1):
-        k = sphere_size(n, r + 1) - 1
-        if _exceeds(n, r, k, alpha):
-            return r, sphere_size(n, r)
-    return None
+        holds = volume_excludes_tiling(n, r, sphere_size(n, r + 1) - 1, alpha)
+        if hit is None:
+            if holds:
+                hit = r, sphere_size(n, r)
+        elif not holds:
+            raise InvariantError(
+                f"exclusion holds at radius {hit[0]} but fails at {r}; "
+                "the scan bound certificate would be unsound"
+            )
+    return hit
+
+
+def qpl3_threshold(scan_bound: int = DEFAULT_SCAN_BOUND) -> Optional[int]:
+    """Smallest correction radius beyond which no quasi-perfect code in
+    Z^3 can exist: the first radius of ``kn_bound_scan`` for the
+    octahedron, scanned to ``scan_bound``."""
+    hit = kn_bound_scan(3, OCTAHEDRON_PACKING_EFFICIENCY, scan_bound)
+    return hit[0] if hit else None

@@ -256,6 +256,12 @@ def test_bound_custom_alpha(capsys):
     assert data["results"]["threshold_e"] is None
 
 
+def test_bound_builtin_alpha_is_the_explicit_one(capsys):
+    builtin = run_json(capsys, "bound", "--n", "3")["results"]
+    assert run_json(capsys, "bound", "--n", "3", "--alpha", "18/19")["results"] == builtin
+    assert builtin["threshold_e"] == 55
+
+
 def test_render_cli(tmp_path, capsys):
     out = tmp_path / "grid.svg"
     run_json(
@@ -322,7 +328,6 @@ def _refused(capsys, argv) -> str:
         ["decode", "--code", "{tmp}/partial.json", "--word", "1,2"],  # no "group"
         ["search-pl", "--n", "3", "--node-limit", "-5"],
         ["search-pl", "--n", "3", "--node-limit", "0"],
-        ["search-pl", "--n", "3", "--checkpoint-every", "0"],
         ["decode", "--code", "{tmp}/list.json", "--word", "1,2"],  # not an object
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/partial.json"],  # no "n"
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/int_prefix.json"],
@@ -331,7 +336,7 @@ def _refused(capsys, argv) -> str:
         ["decode", "--code", "{tmp}/nope.json", "--word", "1,2"],
         ["verify", "--appendix", "{tmp}/nope.csv"],
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}"],  # a directory
-        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/no/dir/ck", "--checkpoint-every", "1"],
+        ["search-pl", "--n", "3", "--checkpoint", "{tmp}/no/dir/ck", "--node-limit", "1"],
         ["render", "--k", "5", "--images", "1,2", "--extent", "1",
          "--out", "{tmp}/no/dir/x.svg"],
         ["search-pl", "--n", "3", "--checkpoint", "{tmp}/negative_nodes.json"],
@@ -342,6 +347,7 @@ def _refused(capsys, argv) -> str:
         ["pi", "--n", "2"],  # neither --k nor --group
         ["search-pl", "--n", "3", "--shards", "3", "--shard-index", "5"],
         ["bound", "--n", "4"],  # --alpha is built in only for n = 3
+        ["conjecture-probe", "--n", "2", "--kmin", "10", "--kmax", "5"],
     ],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):

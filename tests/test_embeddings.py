@@ -354,6 +354,24 @@ def test_pi_group_search_z400():
     assert prof.surjective and prof.total() == value
 
 
+def test_early_stopping_pi_searches_match_full_rescan():
+    # Stopping at f(n, |G|) keeps the value and the argmin of a full scan
+    # with the argmin kept on a strict <.
+    for k in range(1, 41):
+        best_k, hom_k = INFINITY, None
+        for G in groups_of_order(k):
+            best, hom = INFINITY, None
+            for images in normalized_image_tuples(G, 2):
+                phi = Homomorphism(G, images)
+                value = embedding_number(phi)
+                if value < best:
+                    best, hom = value, phi
+            assert pi_group_search(2, G) == (best, hom)
+            if best < best_k:
+                best_k, hom_k = best, hom
+        assert pi_number_search(2, k) == (best_k, hom_k)
+
+
 def test_pi_group_rank_obstruction():
     assert pi_group(2, AbelianGroup((2, 2, 4))) == INFINITY
     assert pi_group(1, AbelianGroup((2, 2))) == INFINITY

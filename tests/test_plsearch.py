@@ -273,8 +273,9 @@ def test_checkpoint_file_round_trip(tmp_path):
 
 def test_periodic_checkpoints_and_progress(tmp_path, monkeypatch):
     # Checkpoints saved on the way, without a node limit, and progress
-    # reports fire at each multiple of their period; every saved frontier
-    # resumes to the uninterrupted verdict and node count.
+    # reports fire at each multiple of their one period; every saved
+    # frontier equals the node-limited one at the same count and resumes
+    # to the uninterrupted verdict and node count.
     monkeypatch.setattr("leecodes.plsearch.PROGRESS_EVERY", 1000)
     path = str(tmp_path / "ck.json")
     G = cyclic(61)
@@ -284,12 +285,13 @@ def test_periodic_checkpoints_and_progress(tmp_path, monkeypatch):
         reported.append(nodes)
         saved.append(Checkpoint.load(path))  # saved just before this report
 
-    res = backtrack_pl2(5, G, checkpoint_path=path, checkpoint_every=1000, progress=progress)
+    res = backtrack_pl2(5, G, checkpoint_path=path, progress=progress)
     assert (res.verdict, res.nodes_visited) == ("NO_WITNESS", 12662)
     assert reported == list(range(1000, 12662, 1000))
     assert [ck.nodes for ck in saved] == reported
     assert not (tmp_path / "ck.json").exists()
     for ck in saved:
+        assert ck == backtrack_pl2(5, G, node_limit=ck.nodes)
         again = backtrack_pl2(5, G, resume=ck)
         assert (again.verdict, again.nodes_visited) == ("NO_WITNESS", 12662)
 
@@ -362,8 +364,6 @@ def test_shard_out_of_range_rejected():
 def test_invalid_limits_rejected():
     with pytest.raises(ValueError, match="node_limit"):
         backtrack_pl2(3, cyclic(25), node_limit=-1)
-    with pytest.raises(ValueError, match="checkpoint_every"):
-        backtrack_pl2(3, cyclic(25), checkpoint_every=0)
     # A zero limit stays valid: it suspends before the first node.
     ckpt = backtrack_pl2(3, cyclic(25), node_limit=0)
     assert (ckpt.prefix, ckpt.next_pos, ckpt.nodes) == ((), 0, 0)

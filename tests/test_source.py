@@ -1,0 +1,23 @@
+"""Checks on the library source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import leecodes
+
+SOURCES = sorted(Path(leecodes.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so every invariant of the library
+    # must raise an explicit exception (InvariantError) instead.
+    assert SOURCES
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

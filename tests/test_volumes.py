@@ -117,3 +117,10 @@ def test_qpl3_threshold_non_monotone_exclusion_raises(monkeypatch):
     monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e == 3)
     with pytest.raises(InvariantError, match="fails at 4"):
         qpl3_threshold(scan_bound=10)
+
+
+def test_kn_bound_scan_non_monotone_exclusion_raises(monkeypatch):
+    # The same check guards the scan for every dimension, not only n = 3.
+    monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e == 2)
+    with pytest.raises(InvariantError, match="fails at 3"):
+        kn_bound_scan(4, Fraction(9, 10), r_max=10)
