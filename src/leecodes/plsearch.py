@@ -22,12 +22,17 @@ the search keeps them immutable, one per depth: the marked set, and the set
 P of +-chosen elements stored in tiled form, so that any translate P + c
 is two big-int operations in every group, cyclic or not.  A candidate's
 new elements are {+-c, +-2c} | (P + c) | (P - c); it is accepted iff they
-miss the marked set and number exactly 4 * depth.  Backtracking only
-steps the depth back, and the next candidate is the lowest open bit of
-the representative mask.  Searches are shardable by first-level
-candidate ranges and checkpoint/resumable: the current prefix plus the
-next candidate position fully encode the DFS state, so resuming only
-replays the prefix through the same acceptance test.
+miss the marked set and number exactly 4 * depth.  Acceptance is
+monotone: those new elements only grow with P and the marked set only
+grows, so a candidate rejected under a prefix is rejected under every
+extension.  Each depth therefore keeps the bitset of its passers, a
+child tests only those, and the known rejects are counted by popcount,
+untested: a node is still an open candidate that the plain walk would
+test.
+Searches are shardable by first-level candidate ranges and
+checkpoint/resumable: the current prefix plus the next candidate
+position fully encode the DFS state, so resuming only replays the prefix
+through the same acceptance test.
 
 One private generator, ``_walk``, is the only code that builds and steps
 this state: candidate choice, the acceptance step, push and backtrack,
@@ -223,7 +228,10 @@ def _walk(
     Yields (nodes, tuple) for every accepted n-tuple.  Returns
     (nodes, None) when the walk is exhausted, or (nodes, (prefix
     positions, next position)) at the first node whose count reaches
-    ``stop``: the frontier to resume from.  A node is one acceptance step.
+    ``stop``: the frontier to resume from.  A node is an open candidate
+    that the plain walk, one acceptance step per candidate, would test.
+    As a rejected candidate stays rejected under every extension of the
+    prefix, only the parent's passers are tested; the rest are counted.
     ``prefix`` and ``next_pos`` resume a frontier: the prefix is replayed
     through the acceptance step, uncounted, and the walk goes on at
     candidate position ``next_pos`` below it.
@@ -236,57 +244,85 @@ def _walk(
     reps_mask = tables.mask(0, len(tables.reps))
     # New elements an accepted candidate adds, per depth.
     sizes = [4 * d if tables.radius == 2 else 2 for d in range(n + 1)]
+
+    def passers(cands: int, mk: int, P: int, size: int) -> int:
+        """The bits of ``cands`` that pass the acceptance step under (mk, P)."""
+        passed = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            # At radius 2, {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct
+            # new elements unless two coincide or one is marked, and either
+            # is a collision on the ball.
+            quad, up, down, _ = kernel[low.bit_length() - 1]
+            new = quad | ((P >> up | P >> down) & window)
+            if not new & mk and new.bit_count() == size:
+                passed |= low
+        return passed
+
     # On entry to each depth: the marked elements (0 is bit 0), the tiled
-    # +-chosen elements and the open candidate bits; and the bit chosen there.
-    mk, P, free = 1, 0, tables.mask(lo, hi)
-    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
+    # +-chosen elements, the open candidate bits and the passed ones; and
+    # the bit chosen there.  Depth 1 passes candidates past hi too, as
+    # deeper depths draw from all of them.
+    r = bits[prefix[0] if prefix else next_pos]
+    mk, P, free, A = 1, 0, tables.mask(lo, hi), passers(reps_mask >> r << r, 1, 0, sizes[1])
+    marked, plus, avail, passed = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1), [A] * (n + 1)
     chosen = [0] * (n + 1)
-    depth, size = 1, sizes[1]
-    for pos in prefix:  # the acceptance step and push of the loop below
-        b = bits[pos]
-        quad, up, down, tiled = kernel[b]
-        new = quad | ((P >> up | P >> down) & window)
-        if new & mk or new.bit_count() != size:
+    depth = 1
+    for pos in prefix:  # the push of the loop below
+        c = chosen[depth] = bits[pos]
+        if not A >> c & 1:
             raise ValueError("corrupt checkpoint: stored prefix is deficient")
-        chosen[depth] = b
+        quad, up, down, tiled = kernel[c]
+        mk |= quad | ((P >> up | P >> down) & window)
+        P |= tiled
+        free = reps_mask & ~mk
         depth += 1
-        size = sizes[depth]
-        mk = marked[depth] = mk | new
-        P = plus[depth] = P | tiled
-        free = avail[depth] = reps_mask & ~mk
+        A = passers(free & A >> c + 1 << c + 1, mk, P, sizes[depth])
+        marked[depth], plus[depth], avail[depth], passed[depth] = mk, P, free, A
 
     r = bits[next_pos]  # lowest candidate bit still open at this depth
+    stop = min(stop, 1 << 62)  # an int compares faster than inf
     while True:
+        # Count the open candidates up to the next passer, or to the end.
         rest = free >> r
-        if not rest:
+        hit = A >> r & rest
+        low = hit & -hit
+        count = (rest & (low << 1) - 1 if hit else rest).bit_count()
+        if nodes + count > stop:
+            while nodes < stop:
+                rest &= rest - 1
+                nodes += 1
+            b = r + (rest & -rest).bit_length() - 1
+            return nodes, (tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
+        nodes += count
+        if not hit:
             depth -= 1
             if depth == 0:
                 return nodes, None
             r = chosen[depth] + 1
-            mk, P, free = marked[depth], plus[depth], avail[depth]
-            size = sizes[depth]
+            mk, P, free, A = marked[depth], plus[depth], avail[depth], passed[depth]
             continue
-        b = r + (rest & -rest).bit_length() - 1
-        if nodes >= stop:
-            return nodes, (tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
-        nodes += 1
-        r = b + 1
-        # At radius 2, {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct
-        # new elements unless two coincide or one is marked, and either is
-        # a collision on the ball.
-        quad, up, down, tiled = kernel[b]
-        new = quad | ((P >> up | P >> down) & window)
-        if new & mk or new.bit_count() != size:
-            continue
-        chosen[depth] = b
+        c = chosen[depth] = r + low.bit_length() - 1
+        r = c + 1
         if depth == n:
             yield nodes, tuple(element[c] for c in chosen[1:])
             continue
+        quad, up, down, tiled = kernel[c]
+        mk2 = mk | quad | ((P >> up | P >> down) & window)
+        P2 = P | tiled
+        free2 = reps_mask & ~mk2
+        cands = free2 & A >> r << r
+        A2 = cands and passers(cands, mk2, P2, sizes[depth + 1])
+        if not A2:
+            # No passer below c: count its open candidates, unless the
+            # stop falls among them.
+            count = (free2 >> r).bit_count()
+            if nodes + count <= stop:
+                nodes += count
+                continue
         depth += 1
-        size = sizes[depth]
-        mk = marked[depth] = mk | new
-        P = plus[depth] = P | tiled
-        free = avail[depth] = reps_mask & ~mk
+        mk, P, free, A = marked[depth], plus[depth], avail[depth], passed[depth] = mk2, P2, free2, A2
 
 
 def ball_injective_tuples(n: int, G: AbelianGroup,

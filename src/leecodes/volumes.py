@@ -41,7 +41,7 @@ def volume_excludes_tiling(n: int, r: int, k: int, alpha: Fraction) -> bool:
     sphere_size(n, r+1)); the exclusion is the exact comparison
     octahedron_volume / k > alpha.
     """
-    if not 0 < alpha <= 1:
+    if not 0 < alpha.numerator <= alpha.denominator:
         raise ValueError(f"packing efficiency must be in (0, 1], got {alpha}")
     if not sphere_size(n, r) <= k < sphere_size(n, r + 1):
         raise ValueError(
@@ -75,11 +75,13 @@ def kn_bound_scan(
     if r_max < 0:  # an empty scan would report no threshold
         raise ValueError(f"scan bound must be >= 0, got {r_max}")
     hit: Optional[Tuple[int, int]] = None
+    outer = sphere_size(n, 0)  # each sphere size is computed once
     for r in range(r_max + 1):
-        holds = volume_excludes_tiling(n, r, sphere_size(n, r + 1) - 1, alpha)
+        inner, outer = outer, sphere_size(n, r + 1)
+        holds = volume_excludes_tiling(n, r, outer - 1, alpha)
         if hit is None:
             if holds:
-                hit = r, sphere_size(n, r)
+                hit = r, inner
         elif not holds:
             raise InvariantError(
                 f"exclusion holds at radius {hit[0]} but fails at {r}; "

@@ -122,7 +122,7 @@ def test_criterion_4_backtracking_verdicts():
             assert backtrack_pl2(n, cyclic(k)).verdict == "NO_WITNESS", n
         with stopwatch() as w7:
             out7 = backtrack_pl2(7, cyclic(113))
-        assert out7.verdict == "NO_WITNESS"
+        assert (out7.verdict, out7.nodes_visited) == ("NO_WITNESS", 1_255_773)
         assert w7.elapsed < 600.0
     report(
         "4 backtracking verdicts",
@@ -135,7 +135,7 @@ def test_criterion_4_backtracking_verdicts():
 def test_criterion_4_optional_n8():
     with stopwatch() as w:
         out = backtrack_pl2(8, cyclic(145))
-        assert out.verdict == "NO_WITNESS"
+        assert (out.verdict, out.nodes_visited) == ("NO_WITNESS", 12_597_628)
     report("4 (optional) n=8", w, f"{out.nodes_visited} nodes")
 
 

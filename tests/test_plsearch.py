@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 
@@ -12,6 +13,8 @@ from leecodes.plsearch import (
     Checkpoint,
     SearchOutcome,
     Shard,
+    _BitTables,
+    _walk,
     backtrack_pl2,
     ball_injective_tuples,
     merge_outcomes,
@@ -69,6 +72,13 @@ def test_pinned_node_counts(n):
     out = backtrack_pl2(n, cyclic(2 * n * n + 2 * n + 1))
     assert out.nodes_visited == PINNED_NODES[n]
     assert out.verdict == ("WITNESS" if n == 2 else "NO_WITNESS")
+
+
+@pytest.mark.slow
+def test_pinned_unit_range_n9():
+    # First-level range [0, 1) over Z_181: the tuples that contain 1.
+    out = backtrack_pl2(9, cyclic(181), Shard(0, 0, 1))
+    assert (out.verdict, out.nodes_visited) == ("NO_WITNESS", 8_735_981)
 
 
 def test_no_witness_small_cases():
@@ -256,6 +266,182 @@ def test_witness_survives_resume(n, factors):
         assert (res.verdict, res.witness) == ("WITNESS", witness)
         assert res.nodes_visited == uninterrupted.nodes_visited
         assert res.shard_id == uninterrupted.shard_id
+
+
+def _plain_walk(
+    tables, n, lo, hi, prefix=(), next_pos=0, nodes=0, stop=math.inf,
+):
+    """The search walk without forward checking, kept as the reference:
+    it runs the acceptance step on every open candidate, so each node is
+    one test.  ``_walk`` must yield and return exactly what this does."""
+    bits = tables.bits
+    pos_of = tables.pos_of
+    element = tables.element
+    kernel = tables.kernel
+    window = tables.window
+    reps_mask = tables.mask(0, len(tables.reps))
+    # New elements an accepted candidate adds, per depth.
+    sizes = [4 * d if tables.radius == 2 else 2 for d in range(n + 1)]
+    # On entry to each depth: the marked elements (0 is bit 0), the tiled
+    # +-chosen elements and the open candidate bits; and the bit chosen there.
+    mk, P, free = 1, 0, tables.mask(lo, hi)
+    marked, plus, avail = [mk] * (n + 1), [P] * (n + 1), [free] * (n + 1)
+    chosen = [0] * (n + 1)
+    depth, size = 1, sizes[1]
+    for pos in prefix:  # the acceptance step and push of the loop below
+        b = bits[pos]
+        quad, up, down, tiled = kernel[b]
+        new = quad | ((P >> up | P >> down) & window)
+        if new & mk or new.bit_count() != size:
+            raise ValueError("corrupt checkpoint: stored prefix is deficient")
+        chosen[depth] = b
+        depth += 1
+        size = sizes[depth]
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | tiled
+        free = avail[depth] = reps_mask & ~mk
+
+    r = bits[next_pos]  # lowest candidate bit still open at this depth
+    while True:
+        rest = free >> r
+        if not rest:
+            depth -= 1
+            if depth == 0:
+                return nodes, None
+            r = chosen[depth] + 1
+            mk, P, free = marked[depth], plus[depth], avail[depth]
+            size = sizes[depth]
+            continue
+        b = r + (rest & -rest).bit_length() - 1
+        if nodes >= stop:
+            return nodes, (tuple(pos_of[c] for c in chosen[1:depth]), pos_of[b])
+        nodes += 1
+        r = b + 1
+        # At radius 2, {+-c, +-2c} | (P + c) | (P - c): 4 * depth distinct
+        # new elements unless two coincide or one is marked, and either is
+        # a collision on the ball.
+        quad, up, down, tiled = kernel[b]
+        new = quad | ((P >> up | P >> down) & window)
+        if new & mk or new.bit_count() != size:
+            continue
+        chosen[depth] = b
+        if depth == n:
+            yield nodes, tuple(element[c] for c in chosen[1:])
+            continue
+        depth += 1
+        size = sizes[depth]
+        mk = marked[depth] = mk | new
+        P = plus[depth] = P | tiled
+        free = avail[depth] = reps_mask & ~mk
+
+
+def _drain(walk):
+    """Every (nodes, tuple) the walk yields, and its return value."""
+    yields = []
+    while True:
+        try:
+            yields.append(next(walk))
+        except StopIteration as end:
+            return yields, end.value
+
+
+def _walk_sweep(max_order: int, seed: int) -> int:
+    """Compare ``_walk`` with ``_plain_walk`` on every group of order below
+    ``max_order``: radius 2 with n <= 5 and radius 1 with n <= 3, the full
+    walk, then seeded shard ranges and stops, each resumed from its
+    frontier a few times.  Returns the number of comparisons."""
+    rng = random.Random(seed)
+    compared = 0
+    for k in range(1, max_order):
+        for G in groups_of_order(k):
+            for radius, n_max in ((2, 5), (1, 3)):
+                tables = _BitTables(G, radius)
+                total = len(tables.reps)
+                for n in range(1, n_max + 1):
+                    full = _drain(_plain_walk(tables, n, 0, total))
+                    assert _drain(_walk(tables, n, 0, total)) == full, (G, radius, n)
+                    size = full[1][0]
+                    for _ in range(3):
+                        lo = rng.randint(0, total)
+                        hi = rng.randint(lo, total)
+                        state = ((), lo, 0, rng.randint(0, size))
+                        for _ in range(4):
+                            case = (tables, n, lo, hi, *state)
+                            expected = _drain(_plain_walk(*case))
+                            assert _drain(_walk(*case)) == expected, (G, radius, n, state)
+                            compared += 1
+                            nodes, frontier = expected[1]
+                            if frontier is None:
+                                break
+                            state = (*frontier, nodes, nodes + rng.randint(0, size // 3 + 1))
+    return compared
+
+
+def test_walk_matches_plain_walk():
+    assert _walk_sweep(50, seed=14) > 1000
+
+
+@pytest.mark.slow
+def test_walk_matches_plain_walk_to_order_90():
+    assert _walk_sweep(90, seed=90) > 2000
+
+
+def test_node_limit_chain_reproduces_plain_checkpoints():
+    # One node per call over (3, Z_5xZ_5): every checkpoint of the chain
+    # is the plain walk's frontier at the same node count.
+    G = AbelianGroup((5, 5))
+    tables = _BitTables(G)
+    state = None
+    while True:
+        res = backtrack_pl2(3, G, node_limit=1, resume=state)
+        if isinstance(res, SearchOutcome):
+            break
+        assert _drain(_plain_walk(tables, 3, 0, len(tables.reps), stop=res.nodes))[1] == (
+            res.nodes, (res.prefix, res.next_pos))
+        state = res
+    assert (res.verdict, res.nodes_visited, state.nodes) == ("NO_WITNESS", 192, 191)
+
+
+def test_rejection_is_monotone_under_extension():
+    # The lemma forward checking rests on: a candidate rejected under an
+    # accepted prefix is rejected under every accepted extension of it.
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(60):
+        G = rng.choice([cyclic(41), cyclic(61), AbelianGroup((5, 5)), AbelianGroup((3, 15))])
+
+        def full(t, G=G):
+            return len(quad_set(t, G)) == 2 * len(t) ** 2 + 2 * len(t) + 1
+
+        reps = [G.element(i) for i in G.negation_reps()[1:]]
+        prefix = []
+        for _ in range(rng.randint(0, 3)):
+            accepted = [c for c in reps if full(prefix + [c])]
+            if not accepted:
+                break
+            prefix.append(rng.choice(accepted))
+        extensions = [d for d in reps if full(prefix + [d])]
+        for c in reps:
+            if not full(prefix + [c]):
+                for d in extensions:
+                    assert not full(prefix + [d, c]), (G, prefix, d, c)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_deep_frontier_of_a_large_group(tmp_path):
+    # 120,000 nodes of the n = 20 search over Z_29xZ_29, in one run and
+    # in three slices through a checkpoint file, end on the same frontier.
+    G = AbelianGroup((29, 29))
+    frontier = ((0, 3, 14, 20, 27, 46, 64, 86, 102, 184, 236, 346), 365)
+    ck = backtrack_pl2(20, G, node_limit=120_000)
+    assert (ck.prefix, ck.next_pos, ck.nodes) == (*frontier, 120_000)
+    path = str(tmp_path / "ck.json")
+    ck = None
+    for limit in (38_000, 45_000, 37_000):
+        ck = backtrack_pl2(20, G, checkpoint_path=path, node_limit=limit,
+                           resume=ck and Checkpoint.load(path))
+    assert (ck.prefix, ck.next_pos, ck.nodes) == (*frontier, 120_000)
 
 
 def test_checkpoint_file_round_trip(tmp_path):
