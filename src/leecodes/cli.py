@@ -189,8 +189,7 @@ def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
     if args.node_limit is not None and args.node_limit < 1:
         raise ValueError(f"--node-limit must be >= 1, got {args.node_limit}")
     n = args.n
-    k = args.k if args.k is not None else sphere_size(n, 2)
-    G = _named_group(args.group, args.k) if args.group else cyclic(k)
+    G = AbelianGroup.from_name(args.group) if args.group else cyclic(sphere_size(n, 2))
     report["parameters"] = {
         "n": n,
         "k": G.order,
@@ -438,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-pl", parents=[common],
                        help="radius-2 witness search / non-existence")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="group order (default 2n^2+2n+1)")
-    p.add_argument("--group", help="explicit group name, e.g. Z_5xZ_5")
+    p.add_argument("--group", help="group name, e.g. Z_5xZ_5 (default Z_(2n^2+2n+1))")
     p.add_argument("--shards", type=int)
     p.add_argument("--shard-index", type=int)
     p.add_argument("--checkpoint", help="checkpoint file; resumes if it exists")

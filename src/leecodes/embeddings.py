@@ -41,6 +41,7 @@ from .spheres import (
     f_lower_bound,
     radius_for,
     shell_size,
+    sphere_size,
 )
 
 #: Sentinel for the embedding number of a non-surjective homomorphism.
@@ -201,13 +202,17 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
     with ops = 2t + 2s + 3 big-int operations (t factors, s distinct
     shifts) and ``top`` as in ``BitLayout``, while ``distance_profile``
     spends about 600 + 700n ns per element it reaches.  So once the
-    level count passes reached * (600 + 700n) / (ops * (150 + top / 20)),
-    that is, once the levels so far have cost more than
-    ``distance_profile`` would have spent on the elements they reached,
-    the counts come from ``distance_profile(phi)`` instead.  Thin levels
-    are what make the bitsets lose, so the guard trips early on them:
-    n = 1 over Z_10^4 falls back after one level, while over Z_2000 (a
-    level costs about 0.7 of two elements) it never does.
+    frontier has stopped growing (a level no wider than the one before)
+    and the level count passes
+    reached * (600 + 700n) / (ops * (150 + top / 20)), that is, once the
+    levels so far have cost more than ``distance_profile`` would have
+    spent on the elements they reached, the counts come from
+    ``distance_profile(phi)`` instead.  A growing frontier never falls
+    back: in a large group the first levels reach few elements at the
+    full cost of a level, but the ones after them reach ever more.
+    Thin levels are what make the bitsets lose, so the guard trips early
+    on them: n = 1 over Z_10^4 falls back after two levels, while over
+    Z_2000 (a level costs about 0.7 of two elements) it never does.
     """
     G = phi.group
     layout = G.bits
@@ -220,8 +225,9 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
     unreached = layout.window ^ frontier
     counts = [1]
     reached = 1
+    growing = True
     while unreached:
-        if (len(counts) - 1) * level_ns > reached * element_ns:
+        if not growing and (len(counts) - 1) * level_ns > reached * element_ns:
             return distance_profile(phi).counts
         tiled = frontier
         for off in offsets:
@@ -233,8 +239,10 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
         if not frontier:
             break
         unreached ^= frontier
-        counts.append(frontier.bit_count())
-        reached += counts[-1]
+        width = frontier.bit_count()
+        growing = width > counts[-1]
+        counts.append(width)
+        reached += width
     return tuple(counts)
 
 
@@ -278,26 +286,24 @@ def is_optimal(phi: Homomorphism) -> bool:
     With k = |G| and r = radius_for(n, k), phi is optimal exactly when
     it is injective on the radius-r sphere and surjective on the radius
     r+1 sphere (a bijection on the radius-r sphere when k equals its
-    size).  Checked here on ``weight_counts``: every element must be
-    reached, every shell up to r must be fully represented and nothing
-    may sit beyond weight r + 1.
+    size).  Both are read off ``weight_counts``.  phi maps the radius-r
+    ball onto the elements of weight <= r, and a weight-d shell holds at
+    most ``shell_size(n, d)`` of them, so phi is one-to-one on the ball
+    exactly when those elements number ``sphere_size(n, r)``; the
+    radius-(r+1) ball covers G when the elements of weight <= r + 1
+    number k.
     """
     counts = weight_counts(phi)
     n = phi.n
     k = phi.group.order
-    if sum(counts) != k:
-        return False
     r = radius_for(n, k)
-    for d in range(r + 1):
-        if d >= len(counts) or counts[d] != shell_size(n, d):
-            return False
-    if len(counts) - 1 > r + 1:
+    if sum(counts[: r + 1]) != sphere_size(n, r) or sum(counts[: r + 2]) != k:
         return False
     total = sum(d * c for d, c in enumerate(counts))
     # Optimality must coincide with meeting the lower bound exactly.
     if total != f_lower_bound(n, k):
         raise InvariantError(
-            f"{phi} passes the shell test but its embedding number "
+            f"{phi} passes the ball test but its embedding number "
             f"{total} differs from f({n}, {k}) = {f_lower_bound(n, k)}"
         )
     return True
@@ -336,8 +342,7 @@ def normalized_image_tuples(G: AbelianGroup, n: int) -> List[Tuple[GroupElement,
     Sorted by largest representative first, then lexicographically, so
     searches report the argmin with the smallest generators.
     """
-    reps = [G.element(i) for i in G.negation_reps()]
-    cands = list(itertools.combinations_with_replacement(reps, n))
+    cands = list(itertools.combinations_with_replacement(G.negation_reps(), n))
     cands.sort(key=lambda t: (max(t), t))
     return cands
 

@@ -124,11 +124,10 @@ class AbelianGroup:
             coords.append(x)
         return tuple(reversed(coords))
 
-    def negation_reps(self) -> List[int]:
-        """One index per class {g, -g}: the smaller index of the pair, in
-        ascending order, starting with 0.  Index order is the lexicographic
-        order of the element tuples."""
-        return [i for i, g in enumerate(self.elements()) if self.index(self.neg(g)) >= i]
+    def negation_reps(self) -> List[GroupElement]:
+        """One element per class {g, -g}: the smaller tuple of the pair, in
+        ascending order, starting with zero.  Tuple order is index order."""
+        return [g for g in self.elements() if self.neg(g) >= g]
 
     @cached_property
     def bits(self) -> BitLayout:

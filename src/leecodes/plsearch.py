@@ -38,12 +38,13 @@ One private generator, ``_walk``, is the only code that builds and steps
 this state: candidate choice, the acceptance step, push and backtrack,
 the replay of a resume prefix, and the witnesses.  Both searches run it.
 The walk runs up to a node count and returns its frontier there.
-``backtrack_pl2`` loops over such runs: it takes the first witness,
-saves a checkpoint and reports progress at one cadence, suspends at a
-node limit or reports NO_WITNESS.  ``ball_injective_tuples`` feeds
-``qpl.search_optimal_embedding`` with the tuples injective on the
-radius-1 or radius-2 ball.  The radius is table data of ``_BitTables``:
-at radius 1 a candidate adds only {+-c}, and P stays empty.
+``backtrack_pl2`` loops over runs of ``PROGRESS_EVERY`` nodes: it takes
+the first witness, saves a checkpoint and reports progress after each
+run, suspends at a node limit or reports NO_WITNESS.
+``ball_injective_tuples`` feeds ``qpl.search_optimal_embedding`` with
+the tuples injective on the radius-1 or radius-2 ball.  The radius is
+table data of ``_BitTables``: at radius 1 a candidate adds only {+-c},
+and P stays empty.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class Checkpoint:
     n: int
     group_factors: Tuple[int, ...]
     shard: Optional[Tuple[int, int]]
-    shard_id: Optional[int]
     prefix: Tuple[int, ...]  # chosen candidate positions, depths 1..len
     next_pos: int  # next candidate position at depth len(prefix)+1
     nodes: int
@@ -118,14 +118,13 @@ class Checkpoint:
             data,
             "checkpoint file",
             {"n": int, "group_factors": [int], "prefix": [int], "next_pos": int, "nodes": int},
-            {"shard": [int], "shard_id": int},
+            {"shard": [int]},
         )
         return cls(
             version=data["version"],
             n=data["n"],
             group_factors=tuple(data["group_factors"]),
             shard=tuple(data["shard"]) if data.get("shard") else None,
-            shard_id=data.get("shard_id"),
             prefix=tuple(data["prefix"]),
             next_pos=data["next_pos"],
             nodes=data["nodes"],
@@ -195,8 +194,7 @@ class _BitTables:
         self.pos_of = {}
         self.element = {}
         self.kernel = {}
-        for pos, i in enumerate(self.reps):
-            x = G.element(i)
+        for pos, x in enumerate(self.reps):
             b, nb = bit(x, 1), bit(x, -1)
             self.bits.append(b)
             self.pos_of[b] = pos
@@ -376,10 +374,9 @@ def backtrack_pl2(
     Returns a SearchOutcome, or a Checkpoint if ``node_limit`` ran out
     first.  WITNESS reports the lexicographically first full-size tuple;
     NO_WITNESS certifies that every normalized tuple (restricted to the
-    shard's first-level range, if given) is deficient.  With a checkpoint
-    path or a progress function, the walk stops every ``PROGRESS_EVERY``
-    nodes to save the checkpoint, then report progress, and resumes from
-    its frontier; otherwise it runs to ``node_limit`` in one piece.
+    shard's first-level range, if given) is deficient.  The walk stops
+    every ``PROGRESS_EVERY`` nodes to save the checkpoint, if a path is
+    given, then report progress, and resumes from its frontier.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -410,9 +407,9 @@ def backtrack_pl2(
         prefix, next_pos, nodes = resume.prefix, resume.next_pos, resume.nodes
 
     stop_at = math.inf if node_limit is None else nodes + node_limit
-    every = PROGRESS_EVERY if checkpoint_path or progress else math.inf
     while True:
-        walk = _walk(tables, n, lo, hi, prefix, next_pos, nodes, min(stop_at, nodes + every))
+        walk = _walk(tables, n, lo, hi, prefix, next_pos, nodes,
+                     min(stop_at, nodes + PROGRESS_EVERY))
         try:
             nodes, witness = next(walk)
             outcome = SearchOutcome("WITNESS", witness, nodes, shard_id)
@@ -423,8 +420,7 @@ def backtrack_pl2(
             outcome = SearchOutcome("NO_WITNESS", None, nodes, shard_id)
             break
         prefix, next_pos = frontier
-        ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, shard_id,
-                          prefix, next_pos, nodes)
+        ckpt = Checkpoint(CHECKPOINT_VERSION, n, G.factors, shard_tuple, prefix, next_pos, nodes)
         if checkpoint_path:
             ckpt.save(checkpoint_path)
         if nodes >= stop_at:

@@ -24,13 +24,7 @@ from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, check_json_fields
-from .embeddings import (
-    Homomorphism,
-    distance_profile,
-    hom_apply,
-    is_injective_on_sphere,
-    is_optimal,
-)
+from .embeddings import Homomorphism, distance_profile, hom_apply, is_optimal
 from .groups import AbelianGroup, GroupElement, cyclic, groups_of_order
 from .plsearch import ball_injective_tuples
 from .spheres import Word, radius_for, sphere_size
@@ -78,9 +72,10 @@ def build_code(phi: Homomorphism, e: int) -> LinearLeeCode:
     """Construct the kernel-lattice code of phi for correction radius e.
 
     Requires phi surjective and injective on the radius-e sphere (so the
-    code has minimum distance >= 2e+1).  Classification: PERFECT when
-    the covering radius is e and |G| equals the sphere size (spheres
-    tile); QUASI_PERFECT when the covering radius is e + 1; OTHER else.
+    code has minimum distance >= 2e+1), both read off the profile's
+    counts as in ``is_optimal``.  Classification: PERFECT when the
+    covering radius is e and |G| equals the sphere size (spheres tile);
+    QUASI_PERFECT when the covering radius is e + 1; OTHER else.
     """
     if e < 0:
         raise ValueError(f"correction radius must be >= 0, got {e}")
@@ -89,7 +84,7 @@ def build_code(phi: Homomorphism, e: int) -> LinearLeeCode:
     prof = distance_profile(phi)
     if not prof.surjective:
         raise ValueError("homomorphism is not surjective; kernel is not a code")
-    if not is_injective_on_sphere(phi, e):
+    if sum(prof.counts[: e + 1]) != sphere_size(phi.n, e):
         raise ValueError(
             f"homomorphism is not injective on the radius-{e} sphere"
         )
@@ -194,14 +189,11 @@ def torus_tiling_check(phi: Homomorphism, cells: Iterable[Word]) -> bool:
         )
     p = period_of(phi)
     n = phi.n
-    if p**n > TORUS_BUDGET:  # before the p^n bytes below are allocated
-        raise BudgetExceededError(
-            f"torus has {p}^{n} points, over the budget of {TORUS_BUDGET}"
-        )
+    lattice = kernel_points(phi, p)  # refuses an over-budget torus before the p^n bytes below
     strides = [p**i for i in range(n - 1, -1, -1)]
     seen = bytearray(p**n)
     count = 0
-    for lat in kernel_points(phi, p):
+    for lat in lattice:
         for cell in cell_list:
             idx = 0
             for c, l, s in zip(cell, lat, strides):
@@ -318,8 +310,7 @@ def search_optimal_embedding(
     r = radius_for(n, k)
     for G in groups:
         if r == 0:
-            reps = [G.element(i) for i in G.negation_reps()]
-            tuples = itertools.combinations_with_replacement(reps, n)
+            tuples = itertools.combinations_with_replacement(G.negation_reps(), n)
         else:
             tuples = ball_injective_tuples(n, G, min(r, 2))
         for images in tuples:

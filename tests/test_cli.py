@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import leecodes
-from leecodes.cli import cli_dispatch
+from leecodes.cli import build_parser, cli_dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -307,6 +309,32 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_search_pl_names_its_group_only_with_group(capsys):
+    # search-pl has no --k: the group is Z_(2n^2+2n+1) or the one --group names.
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["search-pl", "--n", "3", "--k", "25"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def test_readme_command_forms_parse():
+    # Every command line in README's "Command line" block is accepted by
+    # the parser, and the block shows every subcommand.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    forms = [shlex.split(line, comments=True)[1:]
+             for line in block.splitlines() if line.startswith("leecodes ")]
+    parser = build_parser()
+    shown = set()
+    for argv in forms:
+        try:
+            shown.add(parser.parse_args(argv).subcommand)
+        except SystemExit:
+            pytest.fail(f"README form does not parse: leecodes {shlex.join(argv)}")
+    assert shown == {"sphere", "pi", "embed2d", "search-pl", "search-qpl", "verify", "decode",
+                     "bound", "render", "conjecture-probe"}
+
+
 def _refused(capsys, argv) -> str:
     """Run argv, expect a usage refusal, and return the message."""
     assert cli_dispatch(argv) == 2
@@ -376,7 +404,6 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
     "argv, message",
     [
         (["pi", "--n", "2", "--k", "24", "--group", "Z_5xZ_5"], "contradicts --group"),
-        (["search-pl", "--n", "3", "--k", "24", "--group", "Z_5xZ_5"], "contradicts --group"),
         (["search-pl", "--n", "3", "--shard-index", "1"], "--shard-index requires --shards"),
         (["pi", "--n", "2", "--k", "16", "--images", "1"], "but --n is 2"),
     ],

@@ -30,6 +30,7 @@ from leecodes.embeddings import (
 )
 from leecodes.errors import BudgetExceededError, InvariantError
 from leecodes.groups import AbelianGroup, cyclic, groups_of_order
+from leecodes.planar import build_planar_embedding
 from leecodes.spheres import (
     enumerate_shell,
     f_lower_bound,
@@ -110,12 +111,28 @@ def _unit_images(G):
 def test_weight_counts_long_diameter(k, guarded):
     # n = 1, image 1: k/2 levels of two elements.  The bitsets finish Z_2000
     # themselves; Z_3000 falls back to distance_profile mid-BFS and Z_10^4
-    # after the first level.
+    # after the first two levels.
     phi = Homomorphism.cyclic(k, (1,))
     distance_profile.cache_clear()
     counts = weight_counts(phi)
     assert distance_profile.cache_info().misses == int(guarded)
     assert counts == distance_profile(phi).counts == (1,) + (2,) * (k // 2 - 1) + (1,)
+
+
+def test_growing_frontier_builds_no_profile():
+    # The long-diameter guard waits for the frontier to stop growing: in a
+    # large group the first levels are dear per element reached, but they
+    # grow, and the bitsets finish the count alone.
+    Z100 = AbelianGroup((100, 100))
+    cases = [Homomorphism.cyclic(20000, (1, 16, 199)), Homomorphism(Z100, _unit_images(Z100))]
+    misses = distance_profile.cache_info().misses
+    planar = build_planar_embedding(20000)
+    verdicts = [is_optimal(phi) for phi in cases]
+    counts = [weight_counts(phi) for phi in cases]
+    assert distance_profile.cache_info().misses == misses
+    assert planar.embedding_weight == f_lower_bound(2, 20000)
+    assert counts == [distance_profile(phi).counts for phi in cases]
+    assert verdicts == [False, False]
 
 
 def test_counting_callers_build_no_profile():
@@ -409,13 +426,10 @@ def test_pruning_is_value_preserving():
 
 def test_canonical_image():
     # The representative of {g, -g} is the smaller element of the pair.
-    def reps(G):
-        return [G.element(i) for i in G.negation_reps()]
-
-    G = cyclic(16)
-    assert (5,) in reps(G) and (11,) not in reps(G)
-    G2 = AbelianGroup((2, 8))
-    assert (1, 1) in reps(G2) and (1, 7) not in reps(G2)
+    reps = cyclic(16).negation_reps()
+    assert (5,) in reps and (11,) not in reps
+    reps = AbelianGroup((2, 8)).negation_reps()
+    assert (1, 1) in reps and (1, 7) not in reps
 
 
 def test_pi_number_examples():

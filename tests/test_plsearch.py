@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import warnings
@@ -123,7 +124,7 @@ def test_ball_injective_tuples_match_sphere_filter():
     # Radius-2 triples first exist past order 25, so 36 and 41 are added.
     for k in [*range(1, 26), 36, 41]:
         for G in groups_of_order(k):
-            reps = [G.element(i) for i in G.negation_reps()]
+            reps = G.negation_reps()
             for n in (1, 2, 3):
                 tuples = list(itertools.combinations_with_replacement(reps, n))
                 for radius in (1, 2):
@@ -242,7 +243,7 @@ def test_checkpoint_resume_identical_verdict():
 
 def _witness_shard(G: AbelianGroup, witness) -> Shard:
     """The shard of a three-part plan that holds the witness's first entry."""
-    pos = G.negation_reps()[1:].index(G.index(witness[0]))
+    pos = G.negation_reps()[1:].index(witness[0])
     return next(s for s in plan_shards_for_group(G, 3) if s.start <= pos < s.stop)
 
 
@@ -413,7 +414,7 @@ def test_rejection_is_monotone_under_extension():
         def full(t, G=G):
             return len(quad_set(t, G)) == 2 * len(t) ** 2 + 2 * len(t) + 1
 
-        reps = [G.element(i) for i in G.negation_reps()[1:]]
+        reps = G.negation_reps()[1:]
         prefix = []
         for _ in range(rng.randint(0, 3)):
             accepted = [c for c in reps if full(prefix + [c])]
@@ -490,8 +491,7 @@ def test_checkpoint_mismatch_rejected():
 
 
 def _ck25(prefix, next_pos, shard=None):
-    shard_id = None if shard is None else 1
-    return Checkpoint(1, 3, (25,), shard, shard_id, prefix, next_pos, 0)
+    return Checkpoint(1, 3, (25,), shard, prefix, next_pos, 0)
 
 
 @pytest.mark.parametrize(
@@ -511,7 +511,7 @@ def _ck25(prefix, next_pos, shard=None):
         _ck25((), 3, shard=(4, 8)),  # next_pos outside the shard
         _ck25((), 9, shard=(4, 8)),
         _ck25((0, 1), 2),  # deficient prefix: 1 + 1 = 2
-        Checkpoint(1, 3, (25,), None, None, (), 0, -1000),  # negative node count
+        Checkpoint(1, 3, (25,), None, (), 0, -1000),  # negative node count
     ],
 )
 def test_corrupt_checkpoint_frontier_rejected(ckpt):
@@ -522,13 +522,31 @@ def test_corrupt_checkpoint_frontier_rejected(ckpt):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("prefix", 5), ("prefix", [1.5]), ("n", "3"), ("nodes", True), ("shard", 5), ("shard_id", [1])],
+    [("prefix", 5), ("prefix", [1.5]), ("n", "3"), ("nodes", True), ("shard", 5)],
 )
 def test_checkpoint_field_of_wrong_kind_rejected(field, value):
     data = _ck25((1,), 5).to_json()
     data[field] = value
     with pytest.raises(ValueError, match=f"'{field}' has the wrong type"):
         Checkpoint.from_json(data)
+
+
+def test_checkpoint_with_shard_id_resumes(tmp_path):
+    # Checkpoint files used to repeat the shard's index as "shard_id" next
+    # to its range.  The key is no longer written, and a file that holds it
+    # still resumes to the uninterrupted verdict and node count.
+    G = cyclic(61)
+    shard = plan_shards_for_group(G, 3)[1]
+    full = backtrack_pl2(5, G, shard)
+    ck = backtrack_pl2(5, G, shard, node_limit=500)
+    assert isinstance(ck, Checkpoint)
+    data = ck.to_json()
+    assert "shard_id" not in data
+    data["shard_id"] = shard.index
+    path = tmp_path / "old.ck"
+    path.write_text(json.dumps(data))
+    res = backtrack_pl2(5, G, shard, resume=Checkpoint.load(str(path)))
+    assert (res.verdict, res.nodes_visited) == (full.verdict, full.nodes_visited)
 
 
 def test_boundary_checkpoint_frontiers_accepted():

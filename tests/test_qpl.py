@@ -63,8 +63,7 @@ def _oracle_search(n, G):
     negation representatives, the radius-1 and radius-2 injectivity
     prefilters, then the optimality test."""
     r = radius_for(n, G.order)
-    reps = [G.element(i) for i in G.negation_reps()]
-    for images in itertools.combinations_with_replacement(reps, n):
+    for images in itertools.combinations_with_replacement(G.negation_reps(), n):
         phi = Homomorphism(G, images)
         if r >= 1 and not is_injective_on_sphere(phi, 1):
             continue
@@ -286,6 +285,17 @@ def test_kernel_points_match_brute_force():
     for k, images in ((13, (5,)), (12, (4,)), (55, (1, 5, 21))):
         phi = Homomorphism.cyclic(k, images)
         assert kernel_points(phi, period_of(phi)) == _brute_kernel(phi, period_of(phi))
+
+
+def test_torus_tiling_check_refuses_over_budget_torus():
+    # 438^3 torus points: refused before any p^n allocation, but only
+    # after the cell count is checked.
+    phi = Homomorphism.cyclic(438, (2, 45, 122))
+    cells = [(x, 0, 0) for x in range(438)]
+    with pytest.raises(BudgetExceededError):
+        torus_tiling_check(phi, cells)
+    with pytest.raises(ValueError, match="cells"):
+        torus_tiling_check(phi, cells[1:])
 
 
 def test_torus_weight():
