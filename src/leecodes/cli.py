@@ -8,8 +8,9 @@ Every subcommand prints a human-readable summary by default and, with
 fills in its parameters, results and input digests and returns its
 human lines.  Long searches report progress on standard error only;
 standard output carries nothing but the report.  Exit codes: 0 success,
-2 usage error (from argparse, bad input refused with a ValueError, or a
-file that cannot be read or written, an OSError), 3 budget refusal.
+2 usage error (from argparse, bad input refused with a ValueError or an
+ArgumentTypeError, or a file that cannot be read or written, an
+OSError), 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -512,7 +513,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -19,10 +19,10 @@ level-synchronous BFS on big-int bitsets in the layout of
 ``AbelianGroup.bits``, with a guard that hands long, thin BFS runs to
 ``distance_profile``.  ``distance_profile`` also records a minimal
 witness word per element, for the callers that use witnesses (code
-construction, rendering, ``pi --profile``); it runs on the integer
-element indices of ``AbelianGroup.index``, each step +-phi(e_i) one
-translation row, and is cached.  Tuple-keyed views are built only on
-request.
+construction, rendering, ``pi --profile``); it runs on the positions
+of the elements in ``AbelianGroup.elements()``, each step +-phi(e_i)
+one translation row, and is cached.  Tuple-keyed views are built only
+on request.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .spheres import (
     Word,
     enumerate_sphere,
     f_lower_bound,
+    lee_weight,
     radius_for,
     shell_size,
     sphere_size,
@@ -97,16 +98,16 @@ def hom_apply(phi: Homomorphism, word: Sequence[int]) -> GroupElement:
 class DistanceProfile:
     """Minimal embedding weight and one minimal witness per group element.
 
-    Indexed by ``group.index``: ``weights[i]`` is the least Lee weight of
-    a preimage of element i (None if unreached), ``words[i]`` a preimage
-    of that weight, and ``counts[d]`` the number of elements at weight d.
-    Ties are broken toward the lexicographically smallest word, which
-    pins every downstream fixture.  ``dist`` and ``witness`` are the same
-    data keyed by element tuples, built on first access.
+    Indexed by position in ``group.elements()``: ``words[i]`` is a
+    preimage of least Lee weight of element i (None if unreached), its
+    weight is the element's distance, and ``counts[d]`` is the number of
+    elements at weight d.  Ties are broken toward the lexicographically
+    smallest word, which pins every downstream fixture.  ``dist`` and
+    ``witness`` are the same data keyed by element tuples, built on
+    first access.
     """
 
     group: AbelianGroup
-    weights: List[Optional[int]]
     words: List[Optional[Word]]
     counts: Tuple[int, ...]
 
@@ -116,13 +117,13 @@ class DistanceProfile:
 
     @cached_property
     def dist(self) -> Dict[GroupElement, int]:
-        element = self.group.element
-        return {element(i): d for i, d in enumerate(self.weights) if d is not None}
+        pairs = zip(self.group.elements(), self.words)
+        return {g: lee_weight(w) for g, w in pairs if w is not None}
 
     @cached_property
     def witness(self) -> Dict[GroupElement, Word]:
-        element = self.group.element
-        return {element(i): w for i, w in enumerate(self.words) if w is not None}
+        pairs = zip(self.group.elements(), self.words)
+        return {g: w for g, w in pairs if w is not None}
 
     def covering_radius(self) -> int:
         """Largest embedding weight; defined only for surjective phi."""
@@ -150,25 +151,21 @@ def distance_profile(phi: Homomorphism) -> DistanceProfile:
     k = G.order
     steps: List[Tuple[int, int, List[int]]] = []
     for i, img in enumerate(phi.images):
-        steps.append((i, 1, G.translation(G.index(img))))
-        steps.append((i, -1, G.translation(G.index(G.neg(img)))))
+        steps.append((i, 1, G.translation(img)))
+        steps.append((i, -1, G.translation(G.neg(img))))
 
-    weights: List[Optional[int]] = [None] * k
     words: List[Optional[Word]] = [None] * k
-    weights[0] = 0
     words[0] = (0,) * phi.n
     counts = [1]
     reached = 1
     frontier = [0]
-    d = 0
     while reached < k:
-        d += 1
         candidates: Dict[int, Word] = {}
         for h in frontier:
             w = words[h]
             for i, s, row in steps:
                 g = row[h]
-                if weights[g] is not None:
+                if words[g] is not None:
                     continue
                 w2 = w[:i] + (w[i] + s,) + w[i + 1 :]
                 prev = candidates.get(g)
@@ -177,12 +174,11 @@ def distance_profile(phi: Homomorphism) -> DistanceProfile:
         if not candidates:
             break
         for g, w2 in candidates.items():
-            weights[g] = d
             words[g] = w2
         frontier = list(candidates)
         counts.append(len(frontier))
         reached += len(frontier)
-    return DistanceProfile(G, weights, words, tuple(counts))
+    return DistanceProfile(G, words, tuple(counts))
 
 
 def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
@@ -339,12 +335,17 @@ def normalized_image_tuples(G: AbelianGroup, n: int) -> List[Tuple[GroupElement,
 
     Flipping any single image of phi leaves every embedding weight
     unchanged, so each image is a representative of its class {g, -g}.
-    Sorted by largest representative first, then lexicographically, so
-    searches report the argmin with the smallest generators.
+    Ordered by largest representative first, then lexicographically, so
+    searches report the argmin with the smallest generators.  A
+    nondecreasing tuple's largest entry is its last, so building the
+    tuples by ascending last entry gives that order without a sort.
     """
-    cands = list(itertools.combinations_with_replacement(G.negation_reps(), n))
-    cands.sort(key=lambda t: (max(t), t))
-    return cands
+    reps = G.negation_reps()
+    return [
+        head + (top,)
+        for j, top in enumerate(reps)
+        for head in itertools.combinations_with_replacement(reps[: j + 1], n - 1)
+    ]
 
 
 def pi_group_search(
@@ -411,11 +412,10 @@ def pi_number(n: int, k: int, budget: int = DEFAULT_HOM_BUDGET):
 
 def profile_to_json(prof: DistanceProfile) -> dict:
     """JSON-ready view of a distance profile, in element order."""
-    element = prof.group.element
     entries = [
-        {"element": list(element(i)), "distance": d, "witness": list(w)}
-        for i, (d, w) in enumerate(zip(prof.weights, prof.words))
-        if d is not None
+        {"element": list(g), "distance": lee_weight(w), "witness": list(w)}
+        for g, w in zip(prof.group.elements(), prof.words)
+        if w is not None
     ]
     return {
         "group": str(prof.group),

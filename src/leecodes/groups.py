@@ -6,13 +6,13 @@ plain tuples of residues, one per factor.  This canonical form makes
 isomorphism-class identity a tuple comparison and keeps residue vectors
 minimal.
 
-Hot kernels work on one integer encoding instead: ``index`` numbers the
-elements 0..|G|-1 by mixed radix, in the order of ``elements()``, and
-``translation(a)`` is the row b -> index(a + b), cut from slices of one
-shared ``list(range(|G|))`` so that no per-element arithmetic is done
-and every row holds the same int objects.  ``bits`` is the bitset
-layout (``BitLayout``) of the big-int kernels: the radius-2 searches of
-``plsearch`` and the level BFS of ``embeddings.weight_counts``.
+Hot kernels number the elements by their position in ``elements()``:
+``translation(a)`` maps each position to that of its translate by a,
+cut from slices of one shared ``list(range(|G|))`` so that no
+per-element arithmetic is done and every row holds the same int
+objects.  ``bits`` is the bitset layout (``BitLayout``) of the big-int
+kernels: the radius-2 searches of ``plsearch`` and the level BFS of
+``embeddings.weight_counts``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ class BitLayout(NamedTuple):
 
     Element (x_1..x_t) sits at bit sum x_j * S_j (``strides``), with
     S_t = 1 and S_j = 2 * d_{j+1} * S_{j+1}: each coordinate has room for
-    twice its range, and bit order is element index order.  Sets live in
-    ``window`` (every x_j < d_j).  A *tiled* set has a copy at each offset
-    sum e_j * d_j * S_j, e in {0, 1}^t, made by one shift-or per factor by
-    d_j * S_j (``offsets``), as the copies never overlap.  Its translate by
-    g is ``(tiled >> (top - bit(g))) & window`` with
+    twice its range, and bit order is the order of ``elements()``.  Sets
+    live in ``window`` (every x_j < d_j).  A *tiled* set has a copy at
+    each offset sum e_j * d_j * S_j, e in {0, 1}^t, made by one shift-or
+    per factor by d_j * S_j (``offsets``), as the copies never overlap.
+    Its translate by g is ``(tiled >> (top - bit(g))) & window`` with
     ``top = sum d_j * S_j``: for each element exactly one copy lands
     inside the window; every other copy leaves some coordinate outside
     [0, d_j), in the padding, above the top coordinate or below bit 0,
@@ -109,24 +109,10 @@ class AbelianGroup:
         """All elements, in lexicographic residue order."""
         return itertools.product(*(range(d) for d in self.factors))
 
-    def index(self, g: GroupElement) -> int:
-        """Mixed-radix position of g in ``elements()``."""
-        i = 0
-        for x, d in zip(g, self.factors):
-            i = i * d + x
-        return i
-
-    def element(self, i: int) -> GroupElement:
-        """The element at position i of ``elements()``; inverse of ``index``."""
-        coords = []
-        for d in reversed(self.factors):
-            i, x = divmod(i, d)
-            coords.append(x)
-        return tuple(reversed(coords))
-
     def negation_reps(self) -> List[GroupElement]:
         """One element per class {g, -g}: the smaller tuple of the pair, in
-        ascending order, starting with zero.  Tuple order is index order."""
+        ascending order, starting with zero.  Tuple order is the order of
+        ``elements()``."""
         return [g for g in self.elements() if self.neg(g) >= g]
 
     @cached_property
@@ -150,19 +136,19 @@ class AbelianGroup:
         # Shared by every translation row, so rows reuse these int objects.
         return list(range(self.order))
 
-    def translation(self, a: int) -> List[int]:
-        """The row b -> index(a + b) over all indices b.
+    def translation(self, a: GroupElement) -> List[int]:
+        """The row i -> position of a + b, b the element at position i.
 
         Only the last factor's residue varies within a block of
-        consecutive indices, so each block is a rotation of a slice of
-        the shared index list: two slices per block, no per-element work.
+        consecutive positions, so each block is a rotation of a slice of
+        the shared position list: two slices per block, no per-element work.
         """
         pool = self._indices
         if not self.factors:
             return pool[:]
-        *head, c = self.element(a)
+        *head, c = a
         last = self.factors[-1]
-        # Block starts, in block order: index(head(a) + head(b)) * last.
+        # Block starts, in block order: the position of (head(a) + head(b), 0).
         starts = [0]
         stride = self.order
         for x, d in zip(head, self.factors):
@@ -192,7 +178,7 @@ class AbelianGroup:
         factors = []
         for part in parts:
             part = part.strip()
-            if not part.startswith("Z_"):
+            if not part.startswith("Z_") or not part[2:].isdecimal():
                 raise ValueError(f"cannot parse group name {name!r}")
             factors.append(int(part[2:]))
         if factors == [1]:

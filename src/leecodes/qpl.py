@@ -134,16 +134,16 @@ def kernel_points(phi: Homomorphism, p: int) -> List[Word]:
         )
     G = phi.group
     *head_images, last = phi.images
-    # head + x * phi(e_n) = 0 exactly when index(head) = index(-x * phi(e_n)).
+    # head + x * phi(e_n) = 0 exactly when head = -x * phi(e_n), as positions.
     tails: Dict[int, List[int]] = {}
-    step = G.translation(G.index(G.neg(last)))
+    step = G.translation(G.neg(last))
     g = 0
     for x in range(p):
         tails.setdefault(g, []).append(x)
         g = step[g]
     heads: List[Tuple[Word, int]] = [((), 0)]
     for img in head_images:
-        step = G.translation(G.index(img))
+        step = G.translation(img)
         grown = []
         for head, g in heads:
             for x in range(p):

@@ -18,7 +18,7 @@ Word = Tuple[int, ...]
 
 def lee_weight(w: Sequence[int]) -> int:
     """Sum of absolute coordinate values; zero only at the origin."""
-    return sum(abs(c) for c in w)
+    return sum(map(abs, w))
 
 
 def lee_distance(v: Sequence[int], w: Sequence[int]) -> int:
@@ -106,8 +106,14 @@ def f_lower_bound(n: int, k: int) -> int:
 
     Fill shells outward from the origin: the i-th shell contributes its
     full word count at weight i; the remaining k - sphere_size(n, r)
-    elements cost r + 1 each, where r = radius_for(n, k).
+    elements cost r + 1 each, where r = radius_for(n, k).  Summed by
+    parts, the shells give r * S(n, r) - sum_{i<r} S(n, i), and by the
+    hockey-stick identity sum_{i<r} C(i, j) = C(r, j + 1), so with
+    S = sphere_size the total is
+    (r + 1) * k - S(n, r) - sum_j 2^j * C(n, j) * C(r, j + 1).
     """
     r = radius_for(n, k)
-    total = sum(i * shell_size(n, i) for i in range(1, r + 1))
-    return total + (r + 1) * (k - sphere_size(n, r))
+    inner = sum(
+        (1 << j) * math.comb(n, j) * math.comb(r, j + 1) for j in range(min(n, r) + 1)
+    )
+    return (r + 1) * k - sphere_size(n, r) - inner

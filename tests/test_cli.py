@@ -42,6 +42,8 @@ def test_golden_reports(capsys):
         ("sphere_report.json", ["sphere", "--n", "3", "--r", "2"]),
         ("bound_report.json", ["bound", "--n", "3"]),
         ("pi_report.json", ["pi", "--n", "2", "--k", "16"]),
+        ("profile_report.json",
+         ["pi", "--n", "2", "--group", "Z_4xZ_4", "--images", "1,0,0,1", "--profile"]),
     ]:
         expected = json.loads((GOLDEN / name).read_text())
         got = _normalized(run_json(capsys, *args))
@@ -410,3 +412,22 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv):
 )
 def test_contradictory_arguments_refused(capsys, argv, message):
     assert message in _refused(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "--code", "{tmp}/code.json", "--word", "a"], "bad integer list 'a'"),
+        (["pi", "--n", "2", "--group", "Z_x"], "cannot parse group name 'Z_x'"),
+        (["pi", "--n", "2", "--group", "Z_"], "cannot parse group name 'Z_'"),
+        (["pi", "--n", "2", "--group", "Z_2.5"], "cannot parse group name 'Z_2.5'"),
+    ],
+)
+def test_malformed_values_refused(tmp_path, capsys, argv, message):
+    from leecodes.embeddings import Homomorphism
+    from leecodes.qpl import build_code, code_to_json
+
+    code = build_code(Homomorphism.cyclic(13, (2, 3)), 2)
+    (tmp_path / "code.json").write_text(json.dumps(code_to_json(code)))
+    err = _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert err.splitlines()[-1] == f"error: {message}"

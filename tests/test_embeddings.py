@@ -87,9 +87,10 @@ def test_weight_counts_match_distance_profile():
     for k in range(1, 65):
         for G in groups_of_order(k):
             units = _unit_images(G)
+            elems = list(G.elements())
             for n in (1, 2, 3):
                 cases = [(G.zero(),) * n] + [
-                    tuple(G.element(rng.randrange(k)) for _ in range(n)) for _ in range(4)
+                    tuple(elems[rng.randrange(k)] for _ in range(n)) for _ in range(4)
                 ]
                 if 1 <= len(units) <= n:
                     cases.append(units + units[:1] * (n - len(units)))
@@ -430,6 +431,28 @@ def test_canonical_image():
     assert (5,) in reps and (11,) not in reps
     reps = AbelianGroup((2, 8)).negation_reps()
     assert (1, 1) in reps and (1, 7) not in reps
+
+
+def _check_normalized_order(orders):
+    # Oracle: every nondecreasing tuple of negation representatives,
+    # sorted by largest entry, then lexicographically.
+    for k in orders:
+        for G in groups_of_order(k):
+            reps = G.negation_reps()
+            for n in range(1, 5):
+                oracle = sorted(
+                    itertools.combinations_with_replacement(reps, n), key=lambda t: (max(t), t)
+                )
+                assert normalized_image_tuples(G, n) == oracle, (G, n)
+
+
+def test_normalized_image_tuples_match_sorted_oracle():
+    _check_normalized_order(range(1, 40))
+
+
+@pytest.mark.slow
+def test_normalized_image_tuples_match_sorted_oracle_to_order_79():
+    _check_normalized_order(range(40, 80))
 
 
 def test_pi_number_examples():

@@ -116,6 +116,17 @@ def test_f_lower_bound_boundary_via_enumeration():
             assert f_lower_bound(n, k) == expected
 
 
+def test_f_lower_bound_matches_shell_sum():
+    # Oracle: fill the shells outward one at a time, as the bound is defined.
+    rng = random.Random(11)
+    cases = [(n, k) for n in range(1, 9) for k in range(1, 600)]
+    cases += [(rng.randint(2, 12), rng.randint(1, 10**6)) for _ in range(200)]
+    for n, k in cases:
+        r = radius_for(n, k)
+        shells = sum(i * shell_size(n, i) for i in range(1, r + 1))
+        assert f_lower_bound(n, k) == shells + (r + 1) * (k - sphere_size(n, r)), (n, k)
+
+
 def test_shell_size_consistency():
     for n in (1, 2, 4):
         assert shell_size(n, 0) == 1
