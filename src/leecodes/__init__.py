@@ -34,8 +34,6 @@ from .embeddings import (
     is_injective_on_sphere,
     is_optimal,
     is_surjective_on_sphere,
-    pi_group,
-    pi_number,
     weight_counts,
 )
 
@@ -61,8 +59,6 @@ __all__ = [
     "is_surjective_on_sphere",
     "lee_distance",
     "lee_weight",
-    "pi_group",
-    "pi_number",
     "radius_for",
     "shell_size",
     "sphere_size",

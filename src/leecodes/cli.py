@@ -79,7 +79,7 @@ def _digest(path: str) -> str:
 
 def _parse_images(text: str) -> List[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 

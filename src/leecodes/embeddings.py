@@ -5,7 +5,8 @@ Each group element g is *embedded* at the least Lee weight of any word
 mapping to it; the embedding number of phi is the total of those weights
 over G (infinite when phi is not surjective).  Minimizing over all
 homomorphisms, and then over all abelian groups of a given order k,
-gives the invariants ``pi_group`` and ``pi_number``.
+gives the invariants that ``pi_group_search`` and ``pi_number_search``
+return with their argmin.
 
 The per-element distances are computed by breadth-first search on the
 Cayley graph of G with generator multiset {+-phi(e_i)}: graph distance
@@ -130,9 +131,6 @@ class DistanceProfile:
         if not self.surjective:
             raise ValueError("covering radius undefined: not surjective")
         return len(self.counts) - 1
-
-    def total(self) -> int:
-        return sum(d * c for d, c in enumerate(self.counts))
 
 
 @lru_cache(maxsize=256)
@@ -383,16 +381,11 @@ def pi_group_search(
     return best, best_hom
 
 
-def pi_group(n: int, G: AbelianGroup, budget: int = DEFAULT_HOM_BUDGET):
-    """min over phi of embedding_number(phi) for phi: Z^n -> G."""
-    return pi_group_search(n, G, budget)[0]
-
-
 def pi_number_search(
     n: int, k: int, budget: int = DEFAULT_HOM_BUDGET
 ) -> Tuple[object, Optional[Homomorphism]]:
-    """Minimum of pi_group over all abelian groups of order k, with argmin;
-    stops at the first group that reaches f_lower_bound(n, k)."""
+    """Minimum of pi_group_search over all abelian groups of order k, with
+    argmin; stops at the first group that reaches f_lower_bound(n, k)."""
     bound = f_lower_bound(n, k)
     best = INFINITY
     best_hom: Optional[Homomorphism] = None
@@ -403,11 +396,6 @@ def pi_number_search(
             if best == bound:
                 break
     return best, best_hom
-
-
-def pi_number(n: int, k: int, budget: int = DEFAULT_HOM_BUDGET):
-    """min over abelian groups G of order k of pi_group(n, G)."""
-    return pi_number_search(n, k, budget)[0]
 
 
 def profile_to_json(prof: DistanceProfile) -> dict:

@@ -1,35 +1,52 @@
 """Optimal embeddings in Z^2 for every order k.
 
-The closed-form construction: with r = radius_for(2, k), take generator
-images (r, r+1) mod k while k <= 2r^2 + 4r, and (r+1, r+2) mod k on the
-upper part of the window.  The integer-valued map with images (r, r+1)
-sends each diagonal slice of the radius-r sphere onto an interval, and
-consecutive slices onto consecutive intervals, which is what makes the
-reduction mod k injective/surjective at the right radii.
+The closed-form construction (Golomb and Welch, *Perfect codes in the
+Lee metric and the packing of polyominoes*, SIAM J. Appl. Math. 18,
+1970): with r = radius_for(2, k), take generator images (r, r+1) mod k
+while k <= 2r^2 + 4r, and (r+1, r+2) mod k on the rest of the window
+sphere_size(2, r) <= k < sphere_size(2, r+1).  Optimal means, as
+``is_optimal`` tests, one-to-one on the radius-r ball with the
+radius-(r+1) ball covering Z_k.  The construction is optimal for every
+k >= 1:
 
-The constructor always self-verifies the returned homomorphism.  The
-upper-window case manipulates (k-1)/2 and (k+1)/2, which presumes odd k,
-so rather than trusting the closed form blindly we re-check it and fall
-back to ``qpl.search_optimal_embedding`` when it fails, the first
-optimal pair 0 < a < b <= k/2 in lexicographic order; the result records
-which path produced it.
+*Lemma.*  The integer map (q, q+1) sends the radius-q ball of Z^2
+one-to-one onto [-(q^2+q), q^2+q].  On the slice x + y = m the map is
+(q+1)m - x, one value per point, and since
+floor((m+1+q)/2) - ceil((m-q)/2) = q, slice m+1 starts right after
+slice m ends.
+
+*Lower part, k <= 2r^2 + 4r, images (r, r+1).*  The radius-r ball maps
+onto 2r^2 + 2r + 1 <= k consecutive integers, so it stays one-to-one
+mod k.  The shell points (x, r+1-x), 0 <= x <= r+1, add (r+1)^2 - x,
+and their negatives add the mirror values, so the radius-(r+1) ball
+covers [-(r+1)^2, (r+1)^2], which holds 2r^2 + 4r + 3 > k integers.
+
+*Upper part, images (r+1, r+2).*  This is the lemma's map for q = r+1,
+so the radius-(r+1) ball covers 2r^2 + 6r + 5 > k consecutive integers.
+The radius-r ball lies in [-r(r+2), r(r+2)], and those 2r^2 + 4r + 1
+<= k integers stay distinct mod k.  This part covers r = 0, that is
+k = 1..4.
+
+``build_planar_embedding`` still re-checks every pair it returns and
+raises ``InvariantError`` if the check fails, which would mean a bug.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .embeddings import Homomorphism, is_optimal
-from .qpl import search_optimal_embedding
-from .spheres import f_lower_bound, radius_for, sphere_size
-
-logger = logging.getLogger(__name__)
+from .errors import InvariantError
+from .spheres import f_lower_bound, radius_for
 
 
 @dataclass(frozen=True)
 class PlanarEmbedding:
-    """A verified optimal generator pair for Z^2 -> Z_k."""
+    """A verified optimal generator pair for Z^2 -> Z_k.
+
+    ``used_fallback`` is always False: the closed form is proved optimal
+    for every k, and no search backs it up.
+    """
 
     hom: Homomorphism
     used_fallback: bool
@@ -48,7 +65,7 @@ def closed_form_images(k: int) -> tuple:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     r = radius_for(2, k)
-    if sphere_size(2, r) <= k <= 2 * r * r + 4 * r:
+    if k <= 2 * r * r + 4 * r:
         return (r % k, (r + 1) % k)
     return ((r + 1) % k, (r + 2) % k)
 
@@ -59,38 +76,7 @@ def build_planar_embedding(k: int) -> PlanarEmbedding:
     The embedding weight of an optimal phi is f(2, k): ``is_optimal``
     raises ``InvariantError`` rather than pass a phi whose total differs.
     """
-    a, b = closed_form_images(k)
-    phi = Homomorphism.cyclic(k, (a, b))
-    if is_optimal(phi):
-        return PlanarEmbedding(phi, False, f_lower_bound(2, k))
-    logger.warning(
-        "closed-form pair (%d, %d) failed verification for k=%d; "
-        "falling back to exhaustive pair search",
-        a,
-        b,
-        k,
-    )
-    phi = search_optimal_embedding(2, k, budget=2 * k)
-    if phi is not None:
-        return PlanarEmbedding(phi, True, f_lower_bound(2, k))
-    raise RuntimeError(
-        f"no optimal generator pair exists in Z_{k}; "
-        "this contradicts the planar construction guarantee"
-    )
-
-
-def segment_image(r: int, m: int) -> tuple:
-    """Value interval of the integer map (r, r+1) on a diagonal slice.
-
-    The slice is the set of sphere-S_{2,r} points with coordinate sum m;
-    the map x, y -> r*x + (r+1)*y is (r+1)*m - x there, so the interval
-    runs between the values at the extreme x coordinates.  Returned as
-    an ascending (lo, hi) pair of integers.
-    """
-    if not -r <= m <= r:
-        raise ValueError(f"slice index {m} out of range for radius {r}")
-    x_min = -((r - m) // 2)  # ceil((m - r) / 2)
-    x_max = (m + r) // 2
-    lo = (r + 1) * m - x_max
-    hi = (r + 1) * m - x_min
-    return (lo, hi)
+    phi = Homomorphism.cyclic(k, closed_form_images(k))
+    if not is_optimal(phi):
+        raise InvariantError(f"the closed-form pair {phi} is not optimal for k={k}")
+    return PlanarEmbedding(phi, False, f_lower_bound(2, k))

@@ -119,15 +119,14 @@ def torus_weight(w: Sequence[int], p: int) -> int:
     return sum(min(c % p, p - c % p) if c % p else 0 for c in w)
 
 
-def kernel_points(phi: Homomorphism, p: int) -> List[Word]:
-    """All points of [0, p)^n in the kernel of phi, in lexicographic order.
+def kernel_points(phi: Homomorphism) -> List[Word]:
+    """All points of the fundamental torus [0, p)^n in the kernel of phi,
+    p = period_of(phi), in lexicographic order.
 
-    p must be a multiple of the code period so that phi is well defined
-    on the torus.  Only the p^(n-1) heads are enumerated: the last
-    coordinates that complete a head are looked up by its image.
+    Only the p^(n-1) heads are enumerated: the last coordinates that
+    complete a head are looked up by its image.
     """
-    if p % period_of(phi) != 0:
-        raise ValueError(f"{p} is not a multiple of the period {period_of(phi)}")
+    p = period_of(phi)
     if p**phi.n > TORUS_BUDGET:
         raise BudgetExceededError(
             f"torus has {p}^{phi.n} points, over the budget of {TORUS_BUDGET}"
@@ -163,7 +162,7 @@ def min_distance_on_torus(code: LinearLeeCode) -> int:
     """
     p = code.period
     best: Optional[int] = None
-    for x in kernel_points(code.hom, p):
+    for x in kernel_points(code.hom):
         if all(c == 0 for c in x):
             continue
         w = torus_weight(x, p)
@@ -189,7 +188,7 @@ def torus_tiling_check(phi: Homomorphism, cells: Iterable[Word]) -> bool:
         )
     p = period_of(phi)
     n = phi.n
-    lattice = kernel_points(phi, p)  # refuses an over-budget torus before the p^n bytes below
+    lattice = kernel_points(phi)  # refuses an over-budget torus before the p^n bytes below
     strides = [p**i for i in range(n - 1, -1, -1)]
     seen = bytearray(p**n)
     count = 0

@@ -63,6 +63,8 @@ def render_grid(
     if radii is None:
         r = radius_for(2, k)
         radii = [r, r + 1] if extent > 0 else []
+    if any(r < 0 for r in radii):
+        raise ValueError(f"sphere radii must be >= 0, got {list(radii)}")
     prof = distance_profile(phi)
     witnesses = set(prof.witness.values())
 

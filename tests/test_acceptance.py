@@ -184,7 +184,7 @@ def test_criterion_6_code_semantics_on_tori():
         assert worst == 3
         # Exhaustive pairwise distances over all codewords of the
         # fundamental torus.
-        codewords = kernel_points(code55.hom, 55)
+        codewords = kernel_points(code55.hom)
         assert len(codewords) == 55 * 55
         wrap = [min(d, 55 - d) for d in range(55)]
         mind = 99
@@ -303,7 +303,7 @@ def test_criterion_8_property_suites():
 
         # Decode idempotence and translation equivariance.
         code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
-        kernel = kernel_points(code.hom, code.period)
+        kernel = kernel_points(code.hom)
         for _ in range(500):
             word = tuple(rng.randint(-80, 80) for _ in range(3))
             nearest = decode(code, word)

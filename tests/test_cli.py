@@ -421,6 +421,9 @@ def test_contradictory_arguments_refused(capsys, argv, message):
         (["pi", "--n", "2", "--group", "Z_x"], "cannot parse group name 'Z_x'"),
         (["pi", "--n", "2", "--group", "Z_"], "cannot parse group name 'Z_'"),
         (["pi", "--n", "2", "--group", "Z_2.5"], "cannot parse group name 'Z_2.5'"),
+        (["decode", "--code", "{tmp}/code.json", "--word", "1,,2"], "bad integer list '1,,2'"),
+        (["render", "--k", "16", "--images", "1,5", "--radii", "-1", "--extent", "1",
+          "--out", "{tmp}/x.svg"], "sphere radii must be >= 0, got [-1]"),
     ],
 )
 def test_malformed_values_refused(tmp_path, capsys, argv, message):
@@ -431,3 +434,22 @@ def test_malformed_values_refused(tmp_path, capsys, argv, message):
     (tmp_path / "code.json").write_text(json.dumps(code_to_json(code)))
     err = _refused(capsys, [a.format(tmp=tmp_path) for a in argv])
     assert err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["pi", "--n", "2", "--k", "16", "--images", "1,,5"], "1,,5"),
+        (["pi", "--n", "2", "--k", "16", "--images", "1,5,"], "1,5,"),
+        (["render", "--k", "16", "--images", "1,5", "--radii", ",2", "--extent", "1",
+          "--out", "{tmp}/x.svg"], ",2"),
+    ],
+)
+def test_empty_list_entries_refused_by_argparse(tmp_path, capsys, argv, value):
+    # An empty entry is a malformed integer list, not one entry fewer.
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument" in last and last.endswith(f"bad integer list {value!r}")
+    assert not (tmp_path / "x.svg").exists()

@@ -21,9 +21,7 @@ from leecodes.embeddings import (
     is_optimal,
     is_surjective_on_sphere,
     normalized_image_tuples,
-    pi_group,
     pi_group_search,
-    pi_number,
     pi_number_search,
     profile_to_json,
     weight_counts,
@@ -70,7 +68,7 @@ def test_distance_profile_worked_example():
     expected.update({g: 3 for g in (3, 7, 9, 13)})
     expected[8] = 4
     assert {g[0]: d for g, d in prof.dist.items()} == expected
-    assert prof.total() == 32
+    assert sum(d * c for d, c in enumerate(prof.counts)) == 32
     assert prof.counts == (1, 4, 6, 4, 1)
 
 
@@ -240,7 +238,7 @@ def test_counts_agree_with_distances():
         prof = distance_profile(phi)
         assert dict(enumerate(prof.counts)) == Counter(prof.dist.values())
         assert prof.surjective == (len(prof.dist) == k)
-        assert prof.total() == sum(prof.dist.values())
+        assert sum(d * c for d, c in enumerate(prof.counts)) == sum(prof.dist.values())
         if prof.surjective:
             assert prof.covering_radius() == max(prof.dist.values())
 
@@ -359,8 +357,8 @@ def test_pi_group_examples():
     value, hom = pi_group_search(2, cyclic(16))
     assert value == 29
     assert hom.images == ((2,), (3,))
-    assert pi_group(3, AbelianGroup(())) == 0
-    assert pi_group(2, cyclic(13)) == 20
+    assert pi_group_search(3, AbelianGroup(()))[0] == 0
+    assert pi_group_search(2, cyclic(13))[0] == 20
 
 
 def test_pi_group_search_z400():
@@ -369,7 +367,7 @@ def test_pi_group_search_z400():
     assert distance_profile.cache_info().misses == misses
     assert value == 3766 == f_lower_bound(2, 400)
     prof = distance_profile(hom)
-    assert prof.surjective and prof.total() == value
+    assert prof.surjective and sum(d * c for d, c in enumerate(prof.counts)) == value
 
 
 def test_early_stopping_pi_searches_match_full_rescan():
@@ -391,8 +389,8 @@ def test_early_stopping_pi_searches_match_full_rescan():
 
 
 def test_pi_group_rank_obstruction():
-    assert pi_group(2, AbelianGroup((2, 2, 4))) == INFINITY
-    assert pi_group(1, AbelianGroup((2, 2))) == INFINITY
+    assert pi_group_search(2, AbelianGroup((2, 2, 4)))[0] == INFINITY
+    assert pi_group_search(1, AbelianGroup((2, 2)))[0] == INFINITY
 
 
 def test_pi_group_unpruned_oracle():
@@ -402,7 +400,7 @@ def test_pi_group_unpruned_oracle():
     for a, b in itertools.product(range(13), repeat=2):
         values.append(embedding_number(Homomorphism(G, ((a,), (b,)))))
     assert min(v for v in values if v != INFINITY) == 20
-    assert pi_group(2, G) == 20
+    assert pi_group_search(2, G)[0] == 20
 
 
 def test_pruning_is_value_preserving():
@@ -460,13 +458,13 @@ def test_pi_number_examples():
     assert value == 29
     assert str(hom.group) == "Z_16"
     assert hom.images == ((2,), (3,))
-    assert pi_number(3, 1) == 0
-    assert pi_number(2, 13) == 20 == f_lower_bound(2, 13)
+    assert pi_number_search(3, 1)[0] == 0
+    assert pi_number_search(2, 13)[0] == 20 == f_lower_bound(2, 13)
 
 
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        pi_group(4, cyclic(100), budget=10**6)
+        pi_group_search(4, cyclic(100), budget=10**6)
 
 
 def test_profile_json_shape():

@@ -2,12 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from leecodes.embeddings import Homomorphism, embedding_number, is_optimal
-from leecodes.planar import (
-    build_planar_embedding,
-    closed_form_images,
-    segment_image,
-)
+from leecodes.embeddings import embedding_number, is_optimal
+from leecodes.errors import InvariantError
+from leecodes.planar import build_planar_embedding, closed_form_images
 from leecodes.spheres import f_lower_bound, sphere_size
 
 
@@ -42,57 +39,23 @@ def test_case_conditions_partition_each_window():
             assert closed_form_images(k) == expected
 
 
-def test_segment_image_examples():
-    lo, hi = segment_image(2, 0)
-    assert lo <= 0 <= hi  # the origin maps to 0
-    assert segment_image(3, 1) == (2, 5)
-
-
-def test_segment_image_upper_max():
-    for r in range(1, 31):
-        assert max(segment_image(r, m)[1] for m in range(0, r + 1)) == r * (r + 1)
-
-
-def test_segment_adjacency():
-    # Consecutive slices map onto consecutive intervals.
-    for r in range(31):
-        for m in range(-r, r):
-            assert segment_image(r, m)[1] + 1 == segment_image(r, m + 1)[0]
-
-
-def test_segment_image_matches_direct_evaluation():
-    # Oracle: evaluate the integer map on every slice point directly.
-    for r in range(0, 12):
-        for m in range(-r, r + 1):
-            values = [
-                r * x + (r + 1) * (m - x)
-                for x in range(-r, r + 1)
-                if abs(x) + abs(m - x) <= r
-            ]
-            assert segment_image(r, m) == (min(values), max(values))
-
-
-def test_segment_image_range_check():
-    with pytest.raises(ValueError):
-        segment_image(3, 4)
-
-
-def test_fallback_when_the_closed_form_fails(monkeypatch, caplog):
-    monkeypatch.setattr("leecodes.planar.closed_form_images", lambda k: (1, 2))
-    for k in (13, 16, 61, 100):
-        pe = build_planar_embedding(k)
-        assert pe.used_fallback
-        assert is_optimal(pe.hom), k
-        assert pe.embedding_weight == f_lower_bound(2, k)
-        # The first optimal pair 0 < a < b <= k/2 in lexicographic order.
-        first = next(
-            (a, b)
-            for a in range(1, k // 2 + 1)
-            for b in range(a + 1, k // 2 + 1)
-            if is_optimal(Homomorphism.cyclic(k, (a, b)))
+def test_lemma_map_is_a_bijection_onto_an_interval():
+    # Oracle for the proof's lemma, by direct evaluation: (q, q+1) maps the
+    # radius-q ball of Z^2 one-to-one onto [-(q^2+q), q^2+q].
+    for q in range(30):
+        values = sorted(
+            q * x + (q + 1) * y
+            for x in range(-q, q + 1)
+            for y in range(-q, q + 1)
+            if abs(x) + abs(y) <= q
         )
-        assert pe.image_values == first, k
-    assert "falling back" in caplog.text
+        assert values == list(range(-(q * q + q), q * q + q + 1)), q
+
+
+def test_failed_closed_form_raises(monkeypatch):
+    monkeypatch.setattr("leecodes.planar.closed_form_images", lambda k: (1, 2))
+    with pytest.raises(InvariantError):
+        build_planar_embedding(61)
 
 
 def test_invalid_k():

@@ -239,7 +239,7 @@ def test_decode_examples():
 def test_decode_idempotent_and_equivariant():
     rng = random.Random(19)
     code = build_code(Homomorphism.cyclic(55, (1, 5, 21)), 2)
-    kernel = kernel_points(code.hom, code.period)
+    kernel = kernel_points(code.hom)
     for _ in range(200):
         w = tuple(rng.randint(-60, 60) for _ in range(3))
         c = decode(code, w)
@@ -257,13 +257,11 @@ def test_period_of():
 
 def test_kernel_points_counts():
     phi = Homomorphism.cyclic(13, (2, 3))
-    pts = kernel_points(phi, 13)
+    pts = kernel_points(phi)
     assert len(pts) == 13  # 13^2 / 13
     assert all(hom_apply(phi, p) == (0,) for p in pts)
     with pytest.raises(BudgetExceededError):
-        kernel_points(Homomorphism.cyclic(438, (2, 45, 122)), 438)
-    with pytest.raises(ValueError):
-        kernel_points(phi, 14)  # not a multiple of the period
+        kernel_points(Homomorphism.cyclic(438, (2, 45, 122)))
 
 
 def _brute_kernel(phi: Homomorphism, p: int):
@@ -280,11 +278,10 @@ def test_kernel_points_match_brute_force():
     for n in (1, 2, 3):
         for _ in range(15):
             phi = Homomorphism(G, tuple(rng.choice(elems) for _ in range(n)))
-            for p in (period_of(phi), 2 * period_of(phi)):
-                assert kernel_points(phi, p) == _brute_kernel(phi, p)
+            assert kernel_points(phi) == _brute_kernel(phi, period_of(phi))
     for k, images in ((13, (5,)), (12, (4,)), (55, (1, 5, 21))):
         phi = Homomorphism.cyclic(k, images)
-        assert kernel_points(phi, period_of(phi)) == _brute_kernel(phi, period_of(phi))
+        assert kernel_points(phi) == _brute_kernel(phi, period_of(phi))
 
 
 def test_torus_tiling_check_refuses_over_budget_torus():
@@ -382,7 +379,8 @@ def test_code_properties_match_sphere_restrictions_on_fuzzed_lattices():
     lattices = []
     for k in range(5, 22):
         phi = build_planar_embedding(k).hom
-        lattices.append((k, set(kernel_points(phi, k))))
+        assert period_of(phi) == k
+        lattices.append((k, set(kernel_points(phi))))
     for _ in range(40):
         v1 = (rng.randint(1, 6), rng.randint(0, 6))
         v2 = (rng.randint(-6, 6), rng.randint(1, 6))

@@ -55,3 +55,9 @@ def test_product_group_rejected_only_by_dimension():
     phi = Homomorphism(AbelianGroup((2, 8)), ((1, 0), (0, 1)))
     svg = render_grid(phi, 1, radii=[])
     assert len(_texts(svg)) == 9
+
+
+def test_negative_radius_refused():
+    phi = Homomorphism(cyclic(13), ((2,), (3,)))
+    with pytest.raises(ValueError):
+        render_grid(phi, 2, radii=[1, -1])
