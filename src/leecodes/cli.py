@@ -59,7 +59,7 @@ from .volumes import (
     DEFAULT_SCAN_BOUND,
     OCTAHEDRON_PACKING_EFFICIENCY,
     exclusion_margin,
-    kn_bound_scan,
+    threshold_proof,
 )
 
 REPORT_VERSION = 1
@@ -331,20 +331,24 @@ def _cmd_bound(args: argparse.Namespace, report: dict) -> List[str]:
             raise ValueError("packing efficiency --alpha is required for n != 3 "
                              "(only the 3-dimensional constant is built in)")
         alpha = OCTAHEDRON_PACKING_EFFICIENCY
-    hit = kn_bound_scan(args.n, alpha, args.rmax)
-    if hit is None:
+    proof = threshold_proof(args.n, alpha, args.rmax)
+    if proof is None:
         report["results"] = {"threshold_e": None, "scanned_to": args.rmax}
         return [f"NO_THRESHOLD up to radius {args.rmax}"]
-    threshold = hit[0]
+    threshold, shift = proof.threshold, proof.shift
     at = exclusion_margin(args.n, threshold, alpha)
     before = (
         exclusion_margin(args.n, threshold - 1, alpha) if threshold > 0 else None
     )
+    # The proof keys come before the last key, so that every line of the
+    # report as it was before them prints unchanged.
     report["results"] = {
         "threshold_e": threshold,
         "alpha": str(alpha),
         "margin_at_threshold": str(at),
         "margin_below_threshold": str(before) if before is not None else None,
+        "proof_shift_e": shift,
+        "proof_coefficients": list(proof.coefficients),
         "strict_at_threshold": at > 0,
     }
     lines = [
@@ -353,6 +357,15 @@ def _cmd_bound(args: argparse.Namespace, report: dict) -> List[str]:
     ]
     if before is not None:
         lines.append(f"exact margin at e={threshold - 1}: {before}")
+    terms = " + ".join(
+        f"{c}" + ("" if d == 0 else "*s" if d == 1 else f"*s^{d}")
+        for d, c in enumerate(proof.coefficients)
+    )
+    checked = f" (e = {threshold}..{shift - 1} checked one by one)" if shift > threshold else ""
+    lines.append(
+        f"proof for every e >= {shift}{checked}: "
+        f"P({shift}+s) = {terms} has no negative coefficient"
+    )
     return lines
 
 
@@ -471,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", type=_parse_fraction,
                    help="packing efficiency as p/q (built in only for n=3)")
-    p.add_argument("--rmax", type=int, default=DEFAULT_SCAN_BOUND)
+    p.add_argument("--rmax", type=int, default=DEFAULT_SCAN_BOUND,
+                   help="largest radius searched for the threshold; a threshold "
+                        "found is proved for every radius above it")
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("render", parents=[common],

@@ -6,14 +6,16 @@ the points +-(r + 1/2) e_i.  If the cross-polytope volume exceeds an
 alpha fraction of the tile volume, where alpha is the cross-polytope's
 packing efficiency, no such tiling exists and the tile order has no
 optimal embedding.  Verdicts compare integers, the rational comparison
-cleared of denominators; no float ever enters a verdict.
+cleared of denominators; no float ever enters a verdict.  A threshold
+radius is proved for every larger radius by the coefficients of an
+integer polynomial, not by scanning up to a bound.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError
 from .spheres import sphere_size
@@ -59,24 +61,77 @@ def exclusion_margin(n: int, r: int, alpha: Fraction) -> Fraction:
     return octahedron_volume(n, r) / k - alpha
 
 
-def kn_bound_scan(
-    n: int, alpha: Fraction, r_max: int = DEFAULT_SCAN_BOUND
-) -> Optional[Tuple[int, int]]:
-    """First radius r <= r_max whose whole window is excluded, with the
-    resulting order threshold sphere_size(n, r).  None when the scan
-    never triggers (e.g. alpha = 1 for the square, which tiles).
+def exclusion_polynomial(n: int, alpha: Fraction) -> List[int]:
+    """Integer coefficients, constant first, of the polynomial
 
-    The exclusion at radius r must hold for the largest tile volume of
-    the window, sphere_size(n, r+1) - 1.  After the first hit the scan
-    continues to ``r_max`` and insists the exclusion keeps holding (the
-    limit argument makes the ratio tend to 1, but monotonicity past the
-    threshold is checked, not assumed).
+        P(r) = den(alpha) * (2r+1)^n - num(alpha) * n! * (S(n, r+1) - 1),
+
+    S = sphere_size, which is positive exactly when the radius-r window
+    is excluded (``volume_excludes_tiling`` at k = S(n, r+1) - 1).
+
+    S(n, r+1) - 1 is the sum over 1 <= j <= n of 2^j * C(n, j) * C(r+1, j),
+    and n! * C(r+1, j) = (n!/j!) * (r+1) r ... (r+2-j) has integer
+    coefficients, so P has too.  The product vanishes where the binomial
+    does, at j > r+1, so P agrees with the sphere sizes at every r >= 0.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    num, den = alpha.numerator, alpha.denominator
+    poly = [den * math.comb(n, i) << i for i in range(n + 1)]  # den * (2r+1)^n
+    for j in range(1, n + 1):
+        term = [num * math.comb(n, j) * (math.factorial(n) // math.factorial(j)) << j]
+        for a in range(1, 1 - j, -1):  # times (r + a) for a = 1, 0, ..., 2 - j
+            term = [a * c + b for c, b in zip(term + [0], [0] + term)]
+        for d, c in enumerate(term):
+            poly[d] -= c
+    return poly
+
+
+def taylor_shift(poly: Sequence[int], a: int) -> List[int]:
+    """Coefficients of P(a + s) in s, constant first, for P given by its
+    coefficients constant first (repeated synthetic division by r - a)."""
+    out = list(poly)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+class ThresholdProof(NamedTuple):
+    """The first excluded radius and the proof that every larger one is
+    excluded too: the radii from ``threshold`` to ``shift`` were checked
+    one by one, and from ``shift`` on the exclusion follows from
+    ``coefficients``, those of P(shift + s) in s (``exclusion_polynomial``),
+    constant first, of which none is negative and the constant positive."""
+
+    threshold: int
+    order: int  # sphere_size(n, threshold), the order threshold
+    shift: int
+    coefficients: Tuple[int, ...]
+
+
+def threshold_proof(
+    n: int, alpha: Fraction, r_max: int = DEFAULT_SCAN_BOUND
+) -> Optional[ThresholdProof]:
+    """The scan of ``kn_bound_scan``, with the proof it stops at.
+
+    Radii are tested one by one from 0; ``r_max`` bounds only the search
+    for the first hit.  From the first hit r0 on, each radius r is still
+    tested, an exclusion that fails raises ``InvariantError``, and the
+    scan stops at the first r where P(r + s) has no negative coefficient
+    and a positive constant: then P(r + s) > 0 for every s >= 0.  It
+    does stop: P(r0) > 0, so P is not zero; if its top coefficient is
+    negative, P turns negative at some radius, which raises, and if it
+    is positive, every coefficient of P(r + s) is positive for r large
+    enough, as the top coefficient's term dominates each of them.
     """
     if r_max < 0:  # an empty scan would report no threshold
         raise ValueError(f"scan bound must be >= 0, got {r_max}")
-    hit: Optional[Tuple[int, int]] = None
     outer = sphere_size(n, 0)  # each sphere size is computed once
-    for r in range(r_max + 1):
+    poly = exclusion_polynomial(n, alpha)
+    hit: Optional[Tuple[int, int]] = None
+    r = 0
+    while hit is not None or r <= r_max:
         inner, outer = outer, sphere_size(n, r + 1)
         holds = volume_excludes_tiling(n, r, outer - 1, alpha)
         if hit is None:
@@ -85,14 +140,41 @@ def kn_bound_scan(
         elif not holds:
             raise InvariantError(
                 f"exclusion holds at radius {hit[0]} but fails at {r}; "
-                "the scan bound certificate would be unsound"
+                "no threshold holds for every radius"
             )
-    return hit
+        if hit is not None:
+            shifted = taylor_shift(poly, r)
+            if shifted[0] > 0 and min(shifted) >= 0:
+                return ThresholdProof(*hit, r, tuple(shifted))
+        r += 1
+    return None
+
+
+def kn_bound_scan(
+    n: int, alpha: Fraction, r_max: int = DEFAULT_SCAN_BOUND
+) -> Optional[Tuple[int, int]]:
+    """First radius r <= r_max whose whole window is excluded, with the
+    resulting order threshold sphere_size(n, r).  None when the scan
+    never triggers (e.g. alpha = 1 for the square, which tiles).
+
+    The exclusion at radius r must hold for the largest tile volume of
+    the window, sphere_size(n, r+1) - 1; it does exactly when the integer
+    polynomial P(r) of ``exclusion_polynomial`` is positive.  The
+    threshold is proved for every radius above it, not only up to
+    ``r_max``: the scan (``threshold_proof``) goes on past the first hit
+    r0, one radius at a time, until the Taylor shift P(r + s) has no
+    negative coefficient and a positive constant, so that P(r + s) > 0
+    for every s >= 0.  For the octahedron (n = 3, alpha = 18/19) that
+    holds at r0 = 55 itself.
+    """
+    proof = threshold_proof(n, alpha, r_max)
+    return (proof.threshold, proof.order) if proof else None
 
 
 def qpl3_threshold(scan_bound: int = DEFAULT_SCAN_BOUND) -> Optional[int]:
-    """Smallest correction radius beyond which no quasi-perfect code in
+    """Smallest correction radius from which on no quasi-perfect code in
     Z^3 can exist: the first radius of ``kn_bound_scan`` for the
-    octahedron, scanned to ``scan_bound``."""
+    octahedron, searched for up to ``scan_bound`` and proved for every
+    radius above it."""
     hit = kn_bound_scan(3, OCTAHEDRON_PACKING_EFFICIENCY, scan_bound)
     return hit[0] if hit else None

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import leecodes
+from leecodes import volumes
 from leecodes.cli import build_parser, cli_dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -264,6 +265,33 @@ def test_bound_builtin_alpha_is_the_explicit_one(capsys):
     builtin = run_json(capsys, "bound", "--n", "3")["results"]
     assert run_json(capsys, "bound", "--n", "3", "--alpha", "18/19")["results"] == builtin
     assert builtin["threshold_e"] == 55
+
+
+def test_bound_prints_its_proof(capsys, monkeypatch):
+    assert run_human(capsys, "bound", "--n", "3").splitlines() == [
+        "threshold_e = 55 (alpha = 18/19)",
+        "exact margin at e=55: 309/3047296",
+        "exact margin at e=54: -21689/25995420",
+        "proof for every e >= 55: P(55+s) = 2781 + 25362*s + 900*s^2 + 8*s^3 "
+        "has no negative coefficient",
+    ]
+    results = run_json(capsys, "bound", "--n", "4", "--alpha", "9/10")["results"]
+    assert results["threshold_e"] == results["proof_shift_e"] == 38
+    assert results["proof_coefficients"] == [193450, 984016, 74400, 1888, 16]
+    # A threshold below the certificate radius names the radii checked one by one.
+    monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e >= 3)
+    assert run_human(capsys, "bound", "--n", "3").splitlines()[-1] == (
+        "proof for every e >= 55 (e = 3..54 checked one by one): "
+        "P(55+s) = 2781 + 25362*s + 900*s^2 + 8*s^3 has no negative coefficient"
+    )
+
+
+def test_bound_no_threshold_output(capsys):
+    assert run_human(capsys, "bound", "--n", "2", "--alpha", "1", "--rmax", "50") == (
+        "NO_THRESHOLD up to radius 50\n"
+    )
+    results = run_json(capsys, "bound", "--n", "2", "--alpha", "1", "--rmax", "50")["results"]
+    assert results == {"threshold_e": None, "scanned_to": 50}
 
 
 def test_render_cli(tmp_path, capsys):

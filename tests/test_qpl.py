@@ -7,7 +7,13 @@ from collections import deque
 
 import pytest
 
-from leecodes.embeddings import Homomorphism, hom_apply, is_injective_on_sphere, is_optimal
+from leecodes.embeddings import (
+    Homomorphism,
+    distance_profile,
+    hom_apply,
+    is_injective_on_sphere,
+    is_optimal,
+)
 from leecodes.errors import BudgetExceededError
 from leecodes.groups import AbelianGroup, cyclic, groups_of_order
 from leecodes.planar import build_planar_embedding
@@ -325,6 +331,92 @@ def test_tiling_3d_leaders():
     sphere = set(enumerate_sphere(3, 2))
     assert sphere <= set(leaders)
     assert torus_tiling_check(code.hom, leaders)
+
+
+def _marked_torus_cover(phi: Homomorphism, cells) -> bool:
+    """Brute-force tiling check, independent of the coset argument: mark
+    every point c + l of the torus (Z_p)^n, cell c, kernel point l, and
+    ask that none is marked twice and all p^n are marked."""
+    p = period_of(phi)
+    n = phi.n
+    strides = [p**i for i in range(n - 1, -1, -1)]
+    seen = bytearray(p**n)
+    count = 0
+    for lat in kernel_points(phi):
+        for cell in cells:
+            idx = 0
+            for c, l, s in zip(cell, lat, strides):
+                idx += ((c + l) % p) * s
+            if seen[idx]:
+                return False
+            seen[idx] = 1
+            count += 1
+    return count == p**n
+
+
+def _tiling_cases(G: AbelianGroup, n: int, rng: random.Random):
+    """(phi, cells) pairs over G in Z^n: the coset leaders of a surjective
+    phi, as they are, shifted by kernel points and by p * e_i, moved off
+    their coset, with a cell repeated, random cells, and cells of a phi
+    onto a proper subgroup."""
+    elems = list(G.elements())
+    for _ in range(20):
+        phi = Homomorphism(G, tuple(rng.choice(elems) for _ in range(n)))
+        if distance_profile(phi).surjective:
+            break
+    else:
+        phi = None  # G needs more than n generators
+    words = lambda: [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(G.order)]
+    if phi is not None:
+        leaders = list(build_code(phi, 0).coset_leaders.values())
+        p = period_of(phi)
+        kernel = kernel_points(phi)
+        yield phi, leaders
+        shifted = [tuple(c + l for c, l in zip(cell, rng.choice(kernel))) for cell in leaders]
+        yield phi, shifted
+        i = rng.randrange(n)
+        yield phi, [cell[:i] + (cell[i] + p * rng.randint(-2, 2),) + cell[i + 1 :]
+                    for cell in leaders]
+        moved = list(leaders)
+        j, i = rng.randrange(G.order), rng.randrange(n)
+        moved[j] = moved[j][:i] + (moved[j][i] + 1,) + moved[j][i + 1 :]
+        yield phi, moved
+        repeated = list(leaders)
+        repeated[-1] = repeated[0]
+        yield phi, repeated
+        yield phi, words()
+    q = min(d for d in range(2, G.factors[-1] + 1) if G.factors[-1] % d == 0)
+    onto_subgroup = Homomorphism(G, tuple(G.scalar_mul(q, rng.choice(elems)) for _ in range(n)))
+    yield onto_subgroup, words()
+
+
+def test_tiling_check_agrees_with_marking_every_torus_point():
+    rng = random.Random(23)
+    verdicts = []
+    for k in range(2, 31):
+        for G in groups_of_order(k):
+            for n in (1, 2, 3):
+                for phi, cells in _tiling_cases(G, n, rng):
+                    expected = _marked_torus_cover(phi, cells)
+                    assert torus_tiling_check(phi, cells) == expected, (phi, cells)
+                    verdicts.append(expected)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 200
+
+
+def test_tiling_check_on_large_groups():
+    # |G| cells in distinct cosets of a small kernel: a test of the cells
+    # in pairs would take |G|^2 / 2 steps.
+    k = 20011
+    phi = Homomorphism.cyclic(k, (1,))
+    cells = [(x,) for x in range(k)]
+    assert torus_tiling_check(phi, cells)
+    assert torus_tiling_check(phi, cells[1:] + [(k,)])
+    assert not torus_tiling_check(phi, cells[1:] + [(k + 1,)])
+    G = AbelianGroup((150, 150))
+    square = list(itertools.product(range(150), repeat=2))
+    identity = Homomorphism(G, ((1, 0), (0, 1)))
+    assert torus_tiling_check(identity, square)
+    assert not torus_tiling_check(identity, square[:-1] + [(0, 150)])
 
 
 # --- the embedding/code correspondence, both directions -----------------------

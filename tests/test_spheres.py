@@ -100,6 +100,31 @@ def test_radius_for_consistency_fuzzed():
         assert sphere_size(n, r) <= k < sphere_size(n, r + 1)
 
 
+def test_radius_for_matches_the_linear_walk():
+    # The walk r = 0, 1, ... up to the first sphere larger than k, kept
+    # across k, against the root estimate with its corrections.
+    for n in range(1, 7):
+        r = 0
+        for k in range(1, 5001):
+            while sphere_size(n, r + 1) <= k:
+                r += 1
+            assert radius_for(n, k) == r, (n, k)
+
+
+def test_radius_for_far_beyond_float_range():
+    # n! * k overflows a float here; the integer root still brackets k.
+    rng = random.Random(13)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        k = rng.randint(1, 10**400)
+        r = radius_for(n, k)
+        assert sphere_size(n, r) <= k < sphere_size(n, r + 1)
+    for n in range(1, 13):
+        for r in (10**30, 10**60 + 7):
+            k = sphere_size(n, r)
+            assert radius_for(n, k) == r and radius_for(n, k - 1) == r - 1
+
+
 def test_f_lower_bound_examples():
     assert f_lower_bound(2, 16) == 29
     assert f_lower_bound(5, 1) == 0

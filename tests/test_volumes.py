@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -11,10 +12,14 @@ from leecodes.errors import InvariantError
 from leecodes.spheres import sphere_size
 from leecodes.volumes import (
     OCTAHEDRON_PACKING_EFFICIENCY,
+    ThresholdProof,
     exclusion_margin,
+    exclusion_polynomial,
     kn_bound_scan,
     octahedron_volume,
     qpl3_threshold,
+    taylor_shift,
+    threshold_proof,
     volume_excludes_tiling,
 )
 
@@ -124,3 +129,92 @@ def test_kn_bound_scan_non_monotone_exclusion_raises(monkeypatch):
     monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e == 2)
     with pytest.raises(InvariantError, match="fails at 3"):
         kn_bound_scan(4, Fraction(9, 10), r_max=10)
+
+
+# --- the polynomial certificate ----------------------------------------------
+
+
+def _evaluate(poly, r):
+    return sum(c * r**d for d, c in enumerate(poly))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(18, 19), Fraction(9, 10), Fraction(1, 2), Fraction(1)])
+def test_exclusion_polynomial_is_the_exclusion(alpha):
+    # P(r) is the cleared exclusion inequality's slack, as an integer,
+    # and its sign is the verdict of volume_excludes_tiling.
+    for n in range(2, 6):
+        poly = exclusion_polynomial(n, alpha)
+        for r in range(2001):
+            k = sphere_size(n, r + 1) - 1
+            value = _evaluate(poly, r)
+            assert value == (
+                alpha.denominator * (2 * r + 1) ** n
+                - alpha.numerator * math.factorial(n) * k
+            ), (n, r)
+            assert (value > 0) == volume_excludes_tiling(n, r, k, alpha), (n, r)
+
+
+def test_exclusion_polynomial_examples():
+    # Squares tile: with alpha = 1 and n = 2, P(r) = -8r - 7 < 0 at every r.
+    assert exclusion_polynomial(2, Fraction(1)) == [-7, -8, 0]
+    # For alpha < 1 the top coefficient is 2^n * (den - num) > 0.
+    assert exclusion_polynomial(3, ALPHA3)[-1] == 8
+
+
+def test_taylor_shift_matches_direct_evaluation():
+    rng = random.Random(5)
+    for _ in range(200):
+        poly = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 7))]
+        a = rng.randint(-100, 100)
+        shifted = taylor_shift(poly, a)
+        assert len(shifted) == len(poly)
+        for s in range(-5, 6):
+            assert _evaluate(shifted, s) == _evaluate(poly, a + s)
+    assert taylor_shift([0, 0, 1], 1) == [1, 2, 1]
+
+
+def test_certificates_pinned():
+    assert threshold_proof(3, ALPHA3) == ThresholdProof(55, 228031, 55, (2781, 25362, 900, 8))
+    assert threshold_proof(4, Fraction(9, 10)) == ThresholdProof(
+        38, 1468169, 38, (193450, 984016, 74400, 1888, 16)
+    )
+    proof5 = threshold_proof(5, Fraction(9, 10))
+    assert proof5.threshold == proof5.shift == 48 and min(proof5.coefficients) > 0
+    assert threshold_proof(2, Fraction(1, 2)) == ThresholdProof(2, 13, 2, (2, 12, 4))
+
+
+def test_certificate_coefficients_are_the_shifted_exclusion():
+    for n, alpha in ((3, ALPHA3), (4, Fraction(9, 10)), (5, Fraction(9, 10))):
+        proof = threshold_proof(n, alpha)
+        assert list(proof.coefficients) == taylor_shift(exclusion_polynomial(n, alpha), proof.shift)
+
+
+def test_threshold_scan_stops_at_the_certificate(monkeypatch):
+    # The scan tests radii 0..55 and stops: the certificate covers the rest.
+    tested = []
+    real = volumes.volume_excludes_tiling
+
+    def counting(n, r, k, alpha):
+        tested.append(r)
+        return real(n, r, k, alpha)
+
+    monkeypatch.setattr(volumes, "volume_excludes_tiling", counting)
+    assert qpl3_threshold() == 55
+    assert tested == list(range(56))
+
+
+def test_threshold_scan_continues_until_the_certificate_holds(monkeypatch):
+    # A hit below the certificate radius is followed radius by radius: the
+    # planted exclusion holds from r = 3, but P(r + s) has a negative
+    # coefficient (here P(r) itself) until r = 55.
+    monkeypatch.setattr(volumes, "volume_excludes_tiling", lambda n, e, k, alpha: e >= 3)
+    proof = threshold_proof(3, ALPHA3, r_max=10)
+    assert proof == ThresholdProof(3, sphere_size(3, 3), 55, (2781, 25362, 900, 8))
+    assert kn_bound_scan(3, ALPHA3, r_max=10) == (3, sphere_size(3, 3))
+
+
+def test_scan_bound_limits_only_the_search_for_the_first_hit():
+    assert kn_bound_scan(3, ALPHA3, r_max=55) == (55, 228031)
+    assert kn_bound_scan(3, ALPHA3, r_max=54) is None
+    with pytest.raises(ValueError):
+        threshold_proof(3, ALPHA3, r_max=-1)
