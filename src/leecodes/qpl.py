@@ -9,11 +9,11 @@ minimum-weight leader of the received word's image.
 
 Codes are represented by their defining homomorphism rather than a
 basis matrix.  The kernel is p-periodic, where p is the lcm of the image
-orders, so the finite checks read its points K on the fundamental torus
-(Z_p)^n and are exact: the minimum distance is the least torus weight of
-a nonzero point of K, and the tiling check reduces each cell to a
-canonical member of its coset c + K, without visiting the p^n points of
-the torus.
+orders, so the minimum distance is read exactly from its points K on the
+fundamental torus (Z_p)^n: it is the least torus weight of a nonzero
+point of K.  The tiling check needs no torus: the cosets c + K are the
+fibres of phi, so translates of |G| cells tile exactly when phi maps
+the cells to |G| distinct elements.
 """
 
 from __future__ import annotations
@@ -179,54 +179,22 @@ def min_distance_on_torus(code: LinearLeeCode) -> int:
 def torus_tiling_check(phi: Homomorphism, cells: Iterable[Word]) -> bool:
     """Do kernel translates of the given cell set partition the torus?
 
-    This is the finite, executable form of the correspondence between
-    bijective restrictions of phi and lattice tilings: with |cells| =
-    |G| and phi bijective on the cells, the translates must cover
-    (Z_p)^n exactly once.
-
-    Decided by cosets, not by marking the p^n torus points.  The kernel
-    points K are a subgroup of (Z_p)^n, so two translates c + K and
-    c' + K are equal when c - c' lies in K and disjoint otherwise.  The
-    cosets are the fibres of phi on the torus, so there are |im phi| <=
-    |G| of them, and the translates of the |G| cells partition the torus
-    exactly when the cells lie in distinct cosets (then phi is onto and
-    |G| * |K| = p^n).  A repeated cell lies in its coset twice, so it
-    gives False.
-
-    Each cell is reduced to a canonical member of its coset.  The points
-    of K that vanish in the coordinates before i form a subgroup K_i,
-    and their i-th coordinates are the multiples of the least positive
-    one, d_i, which divides p (d_i = p when all are 0); let b_i be a
-    point of K_i with i-th coordinate d_i.  Subtracting multiples of
-    b_1, ..., b_n in turn brings the i-th coordinate into [0, d_i)
-    without changing the ones before it.  Two reduced points c, c' of
-    one coset are equal: if they agree before i, then c - c' lies in
-    K_i, so its i-th coordinate is a multiple of d_i mod p, and two
-    residues in [0, d_i) that differ by a multiple of d_i are equal.
-    This costs O(n * (|K| + |G| * n)) steps where the marking costs p^n.
+    The finite, executable form of the correspondence between bijective
+    restrictions of phi and lattice tilings, decided by phi's fibres.
+    With p = period_of(phi), each p * e_i lies in the kernel, so phi
+    factors through (Z_p)^n, where its kernel points K form a subgroup.
+    Translates c + K and c' + K are equal when phi(c) = phi(c') and
+    disjoint otherwise: they are the fibres of phi.  So the translates
+    of the |G| cells partition the torus exactly when the cells have
+    distinct images; then phi is onto and |G| * |K| = p^n.  A repeated
+    cell gives False; a cell of length other than n raises ``ValueError``.
     """
     cell_list = list(cells)
     if len(cell_list) != phi.group.order:
         raise ValueError(
             f"need exactly |G| = {phi.group.order} cells, got {len(cell_list)}"
         )
-    p = period_of(phi)
-    kernel = kernel_points(phi)  # refuses an over-budget torus
-    basis = []  # (i, d_i, b_i) for each d_i < p
-    sub = kernel
-    for i in range(phi.n):
-        d = min((x[i] for x in sub if x[i]), default=p)
-        if d < p:
-            basis.append((i, d, next(x for x in sub if x[i] == d)))
-        sub = [x for x in sub if x[i] == 0]
-    reduced = set()
-    for cell in cell_list:
-        c = [v % p for v in cell]
-        for i, d, b in basis:
-            q = c[i] // d
-            c = [(v - q * w) % p for v, w in zip(c, b)]
-        reduced.add(tuple(c))
-    return len(reduced) == len(cell_list)
+    return len({hom_apply(phi, cell) for cell in cell_list}) == len(cell_list)
 
 
 @dataclass(frozen=True)

@@ -115,39 +115,38 @@ def threshold_proof(
 ) -> Optional[ThresholdProof]:
     """The scan of ``kn_bound_scan``, with the proof it stops at.
 
-    Radii are tested one by one from 0; ``r_max`` bounds only the search
-    for the first hit.  From the first hit r0 on, each radius r is still
-    tested, an exclusion that fails raises ``InvariantError``, and the
-    scan stops at the first r where P(r + s) has no negative coefficient
-    and a positive constant: then P(r + s) > 0 for every s >= 0.  It
-    does stop: P(r0) > 0, so P is not zero; if its top coefficient is
-    negative, P turns negative at some radius, which raises, and if it
-    is positive, every coefficient of P(r + s) is positive for r large
-    enough, as the top coefficient's term dominates each of them.
+    Two phases.  Radii 0..``r_max`` are tested one by one for the first
+    excluded radius r0; ``r_max`` bounds only this search.  From r0 on,
+    the scan stops at the first r where P(r + s) has no negative
+    coefficient and a positive constant, so that P(r + s) > 0 for every
+    s >= 0; each radius it walks up to is tested too, and an exclusion
+    that fails raises ``InvariantError``.  It does stop: P(r0) > 0, so P
+    is not zero; if its top coefficient is negative, P turns negative at
+    some radius, which raises, and if it is positive, every coefficient
+    of P(r + s) is positive for r large enough, as the top coefficient's
+    term dominates each of them.
     """
     if r_max < 0:  # an empty scan would report no threshold
         raise ValueError(f"scan bound must be >= 0, got {r_max}")
-    outer = sphere_size(n, 0)  # each sphere size is computed once
+
+    def excluded(r: int) -> bool:
+        return volume_excludes_tiling(n, r, sphere_size(n, r + 1) - 1, alpha)
+
+    r0 = next((r for r in range(r_max + 1) if excluded(r)), None)
+    if r0 is None:
+        return None
     poly = exclusion_polynomial(n, alpha)
-    hit: Optional[Tuple[int, int]] = None
-    r = 0
-    while hit is not None or r <= r_max:
-        inner, outer = outer, sphere_size(n, r + 1)
-        holds = volume_excludes_tiling(n, r, outer - 1, alpha)
-        if hit is None:
-            if holds:
-                hit = r, inner
-        elif not holds:
+    r = r0
+    while True:
+        shifted = taylor_shift(poly, r)
+        if shifted[0] > 0 and min(shifted) >= 0:
+            return ThresholdProof(r0, sphere_size(n, r0), r, tuple(shifted))
+        r += 1
+        if not excluded(r):
             raise InvariantError(
-                f"exclusion holds at radius {hit[0]} but fails at {r}; "
+                f"exclusion holds at radius {r0} but fails at {r}; "
                 "no threshold holds for every radius"
             )
-        if hit is not None:
-            shifted = taylor_shift(poly, r)
-            if shifted[0] > 0 and min(shifted) >= 0:
-                return ThresholdProof(*hit, r, tuple(shifted))
-        r += 1
-    return None
 
 
 def kn_bound_scan(

@@ -290,13 +290,13 @@ def test_kernel_points_match_brute_force():
         assert kernel_points(phi) == _brute_kernel(phi, period_of(phi))
 
 
-def test_torus_tiling_check_refuses_over_budget_torus():
-    # 438^3 torus points: refused before any p^n allocation, but only
-    # after the cell count is checked.
+def test_tiling_check_decides_torus_over_budget():
+    # 438^3 torus points, over TORUS_BUDGET: the fibres of phi decide the
+    # tiling without the torus, and the cell count is still checked.
     phi = Homomorphism.cyclic(438, (2, 45, 122))
     cells = [(x, 0, 0) for x in range(438)]
-    with pytest.raises(BudgetExceededError):
-        torus_tiling_check(phi, cells)
+    assert not torus_tiling_check(phi, cells)  # 2x takes 219 values mod 438
+    assert torus_tiling_check(phi, list(build_code(phi, 6).coset_leaders.values()))
     with pytest.raises(ValueError, match="cells"):
         torus_tiling_check(phi, cells[1:])
 
@@ -321,8 +321,15 @@ def test_tiling_rejects_duplicate_images():
 
 
 def test_tiling_size_mismatch():
-    with pytest.raises(ValueError):
-        torus_tiling_check(Homomorphism.cyclic(13, (2, 3)), list(enumerate_sphere(2, 1)))
+    phi = Homomorphism.cyclic(13, (2, 3))
+    sphere = list(enumerate_sphere(2, 2))
+    for cells in (
+        list(enumerate_sphere(2, 1)),  # 5 cells for |G| = 13
+        [c + (0,) for c in sphere],  # cells of length n + 1
+        [c[:1] for c in sphere],  # cells of length n - 1
+    ):
+        with pytest.raises(ValueError):
+            torus_tiling_check(phi, cells)
 
 
 def test_tiling_3d_leaders():
