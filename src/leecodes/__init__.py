@@ -12,7 +12,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError
-from .groups import AbelianGroup, cyclic, cyclic_element, groups_of_order, is_square_free
+from .groups import AbelianGroup, cyclic, cyclic_element, groups_of_order
 from .spheres import (
     Word,
     enumerate_shell,
@@ -31,9 +31,7 @@ from .embeddings import (
     distance_profile,
     embedding_number,
     hom_apply,
-    is_injective_on_sphere,
     is_optimal,
-    is_surjective_on_sphere,
     weight_counts,
 )
 
@@ -53,10 +51,7 @@ __all__ = [
     "f_lower_bound",
     "groups_of_order",
     "hom_apply",
-    "is_injective_on_sphere",
     "is_optimal",
-    "is_square_free",
-    "is_surjective_on_sphere",
     "lee_distance",
     "lee_weight",
     "radius_for",

@@ -41,7 +41,6 @@ from .planar import build_planar_embedding
 from .plsearch import (
     Checkpoint,
     backtrack_pl2,
-    node_budget_estimate,
     plan_shards_for_group,
 )
 from .qpl import (
@@ -178,12 +177,8 @@ def _cmd_embed2d(args: argparse.Namespace, report: dict) -> List[str]:
         "images": list(pe.image_values),
         "embedding_number": pe.embedding_weight,
         "lower_bound": f_lower_bound(2, args.k),
-        "used_fallback": pe.used_fallback,
     }
-    return [
-        f"k={args.k}: images {pe.image_values}, embedding number "
-        f"{pe.embedding_weight} (fallback: {pe.used_fallback})"
-    ]
+    return [f"k={args.k}: images {pe.image_values}, embedding number {pe.embedding_weight}"]
 
 
 def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
@@ -207,11 +202,8 @@ def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
     elif args.shard_index is not None:
         raise ValueError("--shard-index requires --shards")
 
-    budget = node_budget_estimate(n)
-
     def progress(nodes: int) -> None:
-        print(f"progress: {nodes} nodes (~{nodes / budget:.1%} of crude bound)",
-              file=sys.stderr, flush=True)
+        print(f"progress: {nodes} nodes", file=sys.stderr, flush=True)
 
     resume = None
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -235,7 +227,6 @@ def _cmd_search_pl(args: argparse.Namespace, report: dict) -> List[str]:
         "witness": [list(g) for g in result.witness] if result.witness else None,
         "nodes": result.nodes_visited,
         "wall_time_s": wall,
-        "node_budget_estimate": budget,
     }
     # A shard searched only the tuples whose least entry is in its range.
     span = f"positions [{shard.start}, {shard.stop})" if shard else ""

@@ -18,12 +18,12 @@ elements at each weight, which is all that ``embedding_number``,
 ``is_optimal``, ``excess_decomposition`` and the pi searches read: a
 level-synchronous BFS on big-int bitsets in the layout of
 ``AbelianGroup.bits``, with a guard that hands long, thin BFS runs to
-``distance_profile``.  ``distance_profile`` also records a minimal
-witness word per element, for the callers that use witnesses (code
-construction, rendering, ``pi --profile``); it runs on the positions
-of the elements in ``AbelianGroup.elements()``, each step +-phi(e_i)
-one translation row, and is cached.  Tuple-keyed views are built only
-on request.
+the BFS of ``distance_profile``, uncached.  ``distance_profile`` also
+records a minimal witness word per element, for the callers that use
+witnesses (code construction, rendering, ``pi --profile``); it runs on
+the positions of the elements in ``AbelianGroup.elements()``, each
+step +-phi(e_i) one translation row, and is cached.  Tuple-keyed views
+are built only on request.
 """
 
 from __future__ import annotations
@@ -145,6 +145,11 @@ def distance_profile(phi: Homomorphism) -> DistanceProfile:
 
     The result is cached; treat returned profiles as immutable.
     """
+    return _profile_bfs(phi)
+
+
+def _profile_bfs(phi: Homomorphism) -> DistanceProfile:
+    """The search of ``distance_profile``, uncached."""
     G = phi.group
     k = G.order
     steps: List[Tuple[int, int, List[int]]] = []
@@ -200,10 +205,11 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
     and the level count passes
     reached * (600 + 700n) / (ops * (150 + top / 20)), that is, once the
     levels so far have cost more than ``distance_profile`` would have
-    spent on the elements they reached, the counts come from
-    ``distance_profile(phi)`` instead.  A growing frontier never falls
-    back: in a large group the first levels reach few elements at the
-    full cost of a level, but the ones after them reach ever more.
+    spent on the elements they reached, the counts come from the BFS of
+    ``distance_profile``, run uncached so that no witness words are
+    kept.  A growing frontier never falls back: in a large group the
+    first levels reach few elements at the full cost of a level, but
+    the ones after them reach ever more.
     Thin levels are what make the bitsets lose, so the guard trips early
     on them: n = 1 over Z_10^4 falls back after two levels, while over
     Z_2000 (a level costs about 0.7 of two elements) it never does.
@@ -222,7 +228,7 @@ def weight_counts(phi: Homomorphism) -> Tuple[int, ...]:
     growing = True
     while unreached:
         if not growing and (len(counts) - 1) * level_ns > reached * element_ns:
-            return distance_profile(phi).counts
+            return _profile_bfs(phi).counts
         tiled = frontier
         for off in offsets:
             tiled |= tiled << off
@@ -339,6 +345,8 @@ def normalized_image_tuples(G: AbelianGroup, n: int) -> List[Tuple[GroupElement,
     tuples by ascending last entry gives that order without a sort.
     """
     reps = G.negation_reps()
+    if n == 1:
+        return [(top,) for top in reps]
     return [
         head + (top,)
         for j, top in enumerate(reps)

@@ -45,7 +45,8 @@ class PlanarEmbedding:
     """A verified optimal generator pair for Z^2 -> Z_k.
 
     ``used_fallback`` is always False: the closed form is proved optimal
-    for every k, and no search backs it up.
+    for every k, and no search backs it up.  No report prints it; it is
+    kept only for ``perfbench/tracing.py``, which reads it.
     """
 
     hom: Homomorphism

@@ -161,13 +161,6 @@ def quad_set(tup: Sequence[GroupElement], G: AbelianGroup) -> set:
     return out
 
 
-def node_budget_estimate(n: int) -> int:
-    """Crude upper bound (2n)!/n! on deficiency tests in a full search."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return math.factorial(2 * n) // math.factorial(n)
-
-
 class _BitTables:
     """Candidate tables of one group for the search walk at radius 1 or 2,
     on the group's ``BitLayout`` (``G.bits``): each set of elements is an

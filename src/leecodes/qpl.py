@@ -9,9 +9,10 @@ minimum-weight leader of the received word's image.
 
 Codes are represented by their defining homomorphism rather than a
 basis matrix.  The kernel is p-periodic, where p is the lcm of the image
-orders, so the minimum distance is read exactly from its points K on the
+orders, so the minimum distance is read from its points K on the
 fundamental torus (Z_p)^n: it is the least torus weight of a nonzero
-point of K.  The tiling check needs no torus: the cosets c + K are the
+point of K, or p, the weight of each kernel vector p * e_i, if that is
+smaller.  The tiling check needs no torus: the cosets c + K are the
 fibres of phi, so translates of |G| cells tile exactly when phi maps
 the cells to |G| distinct elements.
 """
@@ -156,24 +157,18 @@ def kernel_points(phi: Homomorphism) -> List[Word]:
 
 
 def min_distance_on_torus(code: LinearLeeCode) -> int:
-    """Minimum pairwise distance between distinct codewords on the
-    fundamental torus.
+    """Minimum distance of the code: the least Lee weight of a nonzero
+    kernel vector of phi, found on the fundamental torus.
 
-    The code is a subgroup of the torus and the torus metric is
-    translation invariant, so the pairwise minimum equals the minimum
-    weight over nonzero kernel points.
+    Each p * e_i lies in the kernel, so a class v + pZ^n of a nonzero
+    kernel point v holds only kernel vectors, and its least Lee weight
+    is the torus weight of v.  The other nonzero kernel vectors lie in
+    pZ^n and weigh at least p, which p * e_1 attains.  So the minimum is
+    the least torus weight of a nonzero kernel point, or p if that is
+    smaller or there is no such point.
     """
     p = code.period
-    best: Optional[int] = None
-    for x in kernel_points(code.hom):
-        if all(c == 0 for c in x):
-            continue
-        w = torus_weight(x, p)
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise ValueError("code has a single codeword on its torus")
-    return best
+    return min([p, *(torus_weight(x, p) for x in kernel_points(code.hom) if any(x))])
 
 
 def torus_tiling_check(phi: Homomorphism, cells: Iterable[Word]) -> bool:

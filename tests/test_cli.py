@@ -112,7 +112,11 @@ def test_embed2d(capsys):
     data = run_json(capsys, "embed2d", "--k", "13")
     assert data["results"]["images"] == [2, 3]
     assert data["results"]["embedding_number"] == 20
-    assert data["results"]["used_fallback"] is False
+    # The closed form is proved, so no fallback flag is reported.
+    assert list(data["results"]) == ["k", "images", "embedding_number", "lower_bound"]
+    assert run_human(capsys, "embed2d", "--k", "13") == (
+        "k=13: images (2, 3), embedding number 20\n"
+    )
 
 
 def test_search_pl_witness(capsys):
@@ -127,6 +131,8 @@ def test_search_pl_certificate(capsys):
     cert = data["results"]["certificate"]
     assert cert["group"] == "Z_25"
     assert cert["nodes_tested"] == data["results"]["nodes"]
+    # The node count is exact; no estimate of the tree size is reported.
+    assert list(data["results"]) == ["verdict", "witness", "nodes", "wall_time_s", "certificate"]
 
 
 def test_search_pl_sharded_matches(capsys):
@@ -251,8 +257,8 @@ def test_search_pl_progress_on_stderr(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("NO_WITNESS for n=5, Z_61 (12662 nodes, ")
     assert captured.err.splitlines() == [
-        "progress: 5000 nodes (~16.5% of crude bound)",
-        "progress: 10000 nodes (~33.1% of crude bound)",
+        "progress: 5000 nodes",
+        "progress: 10000 nodes",
     ]
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -106,36 +107,53 @@ def _unit_images(G):
     return tuple(tuple(int(i == j) for i in range(t)) for j in range(t))
 
 
+def _count_profile_bfs(monkeypatch):
+    """Record every run of the profile BFS, through distance_profile or not."""
+    runs = []
+    bfs = embeddings._profile_bfs
+
+    def counted(phi):
+        runs.append(phi)
+        return bfs(phi)
+
+    monkeypatch.setattr(embeddings, "_profile_bfs", counted)
+    return runs
+
+
 @pytest.mark.parametrize("k, guarded", [(2000, False), (3000, True), (10**4, True)])
-def test_weight_counts_long_diameter(k, guarded):
+def test_weight_counts_long_diameter(k, guarded, monkeypatch):
     # n = 1, image 1: k/2 levels of two elements.  The bitsets finish Z_2000
-    # themselves; Z_3000 falls back to distance_profile mid-BFS and Z_10^4
+    # themselves; Z_3000 falls back to the profile BFS mid-BFS and Z_10^4
     # after the first two levels.
     phi = Homomorphism.cyclic(k, (1,))
     distance_profile.cache_clear()
+    runs = _count_profile_bfs(monkeypatch)
     counts = weight_counts(phi)
-    assert distance_profile.cache_info().misses == int(guarded)
+    assert len(runs) == int(guarded)
+    # The fallback keeps no profile: distance_profile searches afresh.
     assert counts == distance_profile(phi).counts == (1,) + (2,) * (k // 2 - 1) + (1,)
+    assert len(runs) == int(guarded) + 1
 
 
-def test_growing_frontier_builds_no_profile():
+def test_growing_frontier_builds_no_profile(monkeypatch):
     # The long-diameter guard waits for the frontier to stop growing: in a
     # large group the first levels are dear per element reached, but they
     # grow, and the bitsets finish the count alone.
     Z100 = AbelianGroup((100, 100))
     cases = [Homomorphism.cyclic(20000, (1, 16, 199)), Homomorphism(Z100, _unit_images(Z100))]
-    misses = distance_profile.cache_info().misses
+    runs = _count_profile_bfs(monkeypatch)
     planar = build_planar_embedding(20000)
     verdicts = [is_optimal(phi) for phi in cases]
     counts = [weight_counts(phi) for phi in cases]
-    assert distance_profile.cache_info().misses == misses
+    assert runs == []
     assert planar.embedding_weight == f_lower_bound(2, 20000)
     assert counts == [distance_profile(phi).counts for phi in cases]
     assert verdicts == [False, False]
 
 
-def test_counting_callers_build_no_profile():
+def test_counting_callers_build_no_profile(monkeypatch):
     misses = distance_profile.cache_info().misses
+    runs = _count_profile_bfs(monkeypatch)
     for G in (cyclic(16), cyclic(61), AbelianGroup((2, 10)), AbelianGroup((5, 5))):
         for n in (2, 3):
             value, hom = pi_group_search(n, G)
@@ -146,6 +164,7 @@ def test_counting_callers_build_no_profile():
                     excess_decomposition(phi)
                 is_optimal(phi)
     assert distance_profile.cache_info().misses == misses
+    assert runs == []
 
 
 def test_embedding_number_examples():
@@ -391,6 +410,17 @@ def test_early_stopping_pi_searches_match_full_rescan():
 def test_pi_group_rank_obstruction():
     assert pi_group_search(2, AbelianGroup((2, 2, 4)))[0] == INFINITY
     assert pi_group_search(1, AbelianGroup((2, 2)))[0] == INFINITY
+
+
+def test_pi_group_search_one_dimension_is_fast():
+    # At n = 1 each negation class is one tuple; slicing the class list
+    # once per tuple made this search quadratic (about 8 s over Z_10^5).
+    t0 = time.perf_counter()
+    value, hom = pi_group_search(1, cyclic(10**5))
+    elapsed = time.perf_counter() - t0
+    assert value == f_lower_bound(1, 10**5)
+    assert hom.images == ((1,),)
+    assert elapsed < 2.0
 
 
 def test_pi_group_unpruned_oracle():

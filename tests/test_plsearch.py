@@ -19,7 +19,6 @@ from leecodes.plsearch import (
     backtrack_pl2,
     ball_injective_tuples,
     merge_outcomes,
-    node_budget_estimate,
     plan_shards_for_group,
     quad_set,
 )
@@ -170,12 +169,6 @@ def test_witness_validity():
     assert Z13.order == sphere_size(2, 2)
     # injective on the full-order sphere means bijective, hence optimal
     assert is_optimal(phi)
-
-
-def test_node_budget_estimate():
-    assert node_budget_estimate(1) == 2
-    assert node_budget_estimate(7) == 17_297_280
-    assert node_budget_estimate(12) == 1_295_295_050_649_600
 
 
 def test_shard_plan_examples():

@@ -199,6 +199,60 @@ def test_quasi_perfect_3d_code():
     assert min_distance_on_torus(code) >= 5
 
 
+@pytest.mark.parametrize(
+    "factors, images, e, cls",
+    [
+        ((3, 3), ((1, 0), (0, 1)), 1, CodeClass.QUASI_PERFECT),
+        ((5, 5), ((1, 0), (0, 1)), 2, CodeClass.OTHER),
+        ((7,), ((1,),), 3, CodeClass.PERFECT),
+    ],
+    ids=["Z_3xZ_3", "Z_5xZ_5", "Z_7"],
+)
+def test_min_distance_with_no_nonzero_torus_point(factors, images, e, cls):
+    # The kernel is pZ^n, so the torus holds only 0 and the minimum
+    # distance is p, the weight of p * e_i.
+    code = build_code(Homomorphism(AbelianGroup(factors), images), e)
+    assert code.classification is cls
+    assert kernel_points(code.hom) == [(0,) * code.n]
+    assert min_distance_on_torus(code) == code.period == factors[0]
+
+
+def test_min_distance_below_the_torus_minimum():
+    # On the torus (Z_2)^3 the one nonzero kernel point (1, 1, 1) weighs
+    # 3, but the kernel vector 2 * e_1 weighs 2.
+    G = AbelianGroup((2, 2))
+    code = build_code(Homomorphism(G, ((1, 1), (1, 0), (0, 1))), 0)
+    assert code.classification is CodeClass.QUASI_PERFECT
+    assert kernel_points(code.hom)[1:] == [(1, 1, 1)]
+    assert min_distance_on_torus(code) == 2
+
+
+def test_min_distance_matches_lattice_oracle():
+    # Oracle: p * e_1 lies in the kernel, so the least weight of a nonzero
+    # kernel vector is found in the radius-p ball of Z^n, which
+    # enumerate_sphere lists by weight.
+    rng = random.Random(7)
+    checked = 0
+    for k in range(2, 16):
+        for G in groups_of_order(k):
+            elements = list(G.elements())
+            for n in (1, 2, 3):
+                for _ in range(4):
+                    phi = Homomorphism(G, tuple(rng.choice(elements) for _ in range(n)))
+                    try:
+                        code = build_code(phi, rng.randint(0, 2))
+                    except ValueError:
+                        continue
+                    oracle = next(
+                        sum(map(abs, w))
+                        for w in enumerate_sphere(n, code.period)
+                        if any(w) and hom_apply(phi, w) == G.zero()
+                    )
+                    assert min_distance_on_torus(code) == oracle, (phi, code.e)
+                    checked += 1
+    assert checked > 50
+
+
 def test_other_classification():
     # Surjective and injective at radius 0, but the covering radius is 8,
     # far beyond e + 1: a valid lattice yet neither perfect nor

@@ -43,3 +43,12 @@ def test_planar_imports_no_search_module():
     }
     assert package == {"embeddings", "errors", "spheres"}
     assert outside == {"__future__", "dataclasses"}
+
+
+def test_package_root_exports_only_what_it_names():
+    # Every exported name resolves; the sphere-map oracles and
+    # is_square_free stay in their modules, where the tests import them.
+    assert all(hasattr(leecodes, name) for name in leecodes.__all__)
+    for name in ("is_injective_on_sphere", "is_surjective_on_sphere", "is_square_free"):
+        assert name not in leecodes.__all__
+        assert not hasattr(leecodes, name)
